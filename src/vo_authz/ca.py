@@ -99,6 +99,26 @@ def write_owner_only(path: str, data: bytes) -> None:
         fh.write(data)
 
 
+def write_atomically(path: str, data: bytes) -> None:
+    """Replace ``path`` with an owner-only file holding ``data``.
+
+    The data is synced under a temporary name and then renamed over
+    ``path``, so readers see the old file or the new one. On failure the
+    temporary file is removed and ``path`` is untouched.
+    """
+    tmp = "%s.tmp.%d" % (path, os.getpid())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def init_root(directory: str) -> tuple[str, str]:
     """Create a trust root: private key and public trust-root PEM."""
     os.makedirs(directory, exist_ok=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import socketserver
 import sys
 import threading
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from datetime import timedelta
 from typing import Optional
 
 from . import wire
-from .ca import load_identity_keypair
+from .ca import load_identity_keypair, write_atomically
 from .credentials import (
     DEFAULT_LIFETIME_SECONDS,
     AssertionBody,
@@ -89,6 +88,8 @@ def load_cas_config(path: str) -> CasConfig:
 class CasService:
     """Request handlers plus the mutable store slot they share."""
 
+    io_timeout = IO_TIMEOUT_SECONDS
+
     def __init__(
         self,
         issuer: IdentityCredential,
@@ -115,6 +116,17 @@ class CasService:
     @property
     def store(self) -> PolicyStore:
         return self._store
+
+    def handle_session(self, channel: wire.Channel) -> None:
+        """Authenticate the peer, then answer its one request."""
+        try:
+            peer = authenticate_peer(channel, self.trust_root, self.clock())
+            frame = channel.recv_frame()
+            channel.send_frame(self.handle_request(peer, frame))
+        except HandshakeError as exc:
+            wire.send_best_effort(channel, _error(401, exc.code, str(exc)))
+        except wire.WireError as exc:
+            wire.send_best_effort(channel, _error(400, "protocol-error", str(exc)))
 
     def handle_request(self, peer: AuthenticatedPeer, frame: dict) -> dict:
         if frame["type"] == "issue_request":
@@ -170,33 +182,30 @@ class CasService:
 
     def handle_admin_load(self, peer: AuthenticatedPeer, frame: dict) -> dict:
         if peer.subject not in self.admin_dns:
-            return {
-                "type": "admin_result",
-                "status": 403,
-                "code": "not-admin",
-                "message": "subject %r may not load policy" % peer.subject,
-            }
+            return _admin_failure(
+                403, "not-admin", "subject %r may not load policy" % peer.subject
+            )
         commands = frame.get("commands")
         if not isinstance(commands, str):
-            return {
-                "type": "admin_result",
-                "status": 400,
-                "code": "bad-request",
-                "message": "admin_load needs a string 'commands' field",
-            }
+            return _admin_failure(
+                400, "bad-request", "admin_load needs a string 'commands' field"
+            )
         with self._write_lock:
             try:
                 new_store, applied = apply_command_file(self._store, commands)
             except CommandFileError as exc:
-                return {
-                    "type": "admin_result",
-                    "status": 400,
-                    "code": "command-file-error",
-                    "line": exc.line,
-                    "message": str(exc),
-                }
+                failure = _admin_failure(400, "command-file-error", str(exc))
+                failure["line"] = exc.line
+                return failure
             if self.snapshot_path is not None:
-                _write_atomically(self.snapshot_path, save_snapshot(new_store))
+                # Persist first: a store the snapshot does not hold would
+                # be lost on restart, so a failed write keeps the old one.
+                try:
+                    write_atomically(self.snapshot_path, save_snapshot(new_store))
+                except OSError as exc:
+                    return _admin_failure(
+                        500, "snapshot-failed", "cannot write the policy snapshot: %s" % exc
+                    )
             self._store = new_store
         return {"type": "admin_result", "status": 200, "applied": applied}
 
@@ -228,54 +237,14 @@ def _error(status: int, code: str, message: str) -> dict:
     return {"type": "error", "status": status, "code": code, "message": message}
 
 
-def _write_atomically(path: str, data: bytes) -> None:
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+def _admin_failure(status: int, code: str, message: str) -> dict:
+    return {"type": "admin_result", "status": status, "code": code, "message": message}
 
 
 # -- network plumbing --------------------------------------------------------
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self):
-        service: CasService = self.server.service  # type: ignore[attr-defined]
-        channel = wire.Channel(self.request, timeout=IO_TIMEOUT_SECONDS)
-        try:
-            try:
-                peer = authenticate_peer(channel, service.trust_root, service.clock())
-            except HandshakeError as exc:
-                _best_effort_send(channel, _error(401, exc.code, str(exc)))
-                return
-            frame = channel.recv_frame()
-            channel.send_frame(service.handle_request(peer, frame))
-        except wire.WireError as exc:
-            _best_effort_send(channel, _error(400, "protocol-error", str(exc)))
-        finally:
-            channel.close()
-
-
-def _best_effort_send(channel: wire.Channel, frame: dict) -> None:
-    try:
-        channel.send_frame(frame)
-    except OSError:
-        pass
-
-
-class CasServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], service: CasService):
-        super().__init__(address, _Handler)
-        self.service = service
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
+CasServer = wire.Server
 
 
 def service_from_config(config: CasConfig, clock: Clock = utc_now) -> CasService:
@@ -318,15 +287,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, CredentialError, CommandFileError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    host, port = server.address
-    print("issuance service for %s listening on %s:%d" % (service.issuer.subject, host, port))
-    sys.stdout.flush()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
+    server.run("issuance service for %s" % service.issuer.subject)
     return 0
 
 

@@ -18,7 +18,7 @@ from datetime import datetime, timedelta
 from typing import Optional, Sequence
 
 from . import wire
-from .ca import load_identity_keypair, write_owner_only
+from .ca import load_identity_keypair, write_atomically, write_owner_only
 from .credentials import (
     DEFAULT_LIFETIME_SECONDS,
     Assertion,
@@ -162,10 +162,7 @@ def store_tag(directory: str, tag: str, assertion: Assertion, clock: Clock = utc
         "created_at": format_timestamp(clock()),
         "assertion": assertion_to_doc(assertion),
     }
-    data = json.dumps(doc, indent=1).encode("utf-8")
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    write_owner_only(tmp, data)
-    os.replace(tmp, path)
+    write_atomically(path, json.dumps(doc, indent=1).encode("utf-8"))
     return existed
 
 

@@ -452,18 +452,6 @@ def assertion_from_doc(doc) -> Assertion:
     return Assertion(body=body, signature=signature)
 
 
-def assertion_to_bytes(assertion: Assertion) -> bytes:
-    return canonical_json(assertion_to_doc(assertion))
-
-
-def assertion_from_bytes(data: bytes) -> Assertion:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedCredential("assertion is not valid JSON") from exc
-    return assertion_from_doc(doc)
-
-
 def identity_to_doc(credential: IdentityCredential) -> dict:
     return {
         "kind": "identity",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .lineformat import LineFormatError, split_fields
+from .lineformat import for_each_line
 from .policy import (
     EXACT,
     WILDCARD,
@@ -154,21 +154,13 @@ def parse_filter_file(text: str) -> list[RightsTuple]:
     """Parse a rights-filter file: one ``<servicetype> <action> <target>
     <exact|wildcard>`` tuple per line, ``#`` comments allowed."""
     tuples: list[RightsTuple] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        try:
-            fields = split_fields(raw)
-        except LineFormatError as exc:
-            raise FilterFileError(lineno, str(exc)) from exc
-        if not fields:
-            continue
+
+    def parse(fields: list[str]) -> None:
         if len(fields) != 4:
-            raise FilterFileError(
-                lineno, "expected <servicetype> <action> <target> <exact|wildcard>"
-            )
+            raise ValueError("expected <servicetype> <action> <target> <exact|wildcard>")
         if fields[3] not in (EXACT, WILDCARD):
-            raise FilterFileError(lineno, "bad match mode %r" % fields[3])
-        try:
-            tuples.append(RightsTuple(fields[0], fields[1], fields[2], fields[3]))
-        except ValueError as exc:
-            raise FilterFileError(lineno, str(exc)) from exc
+            raise ValueError("bad match mode %r" % fields[3])
+        tuples.append(RightsTuple(*fields))
+
+    for_each_line(text, parse, FilterFileError)
     return tuples

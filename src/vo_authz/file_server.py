@@ -22,7 +22,6 @@ import json
 import os
 import posixpath
 import re
-import socketserver
 import sys
 import threading
 from dataclasses import dataclass
@@ -57,12 +56,7 @@ from .engine import (
     check_right,
     roles_in,
 )
-from .lineformat import (
-    LineFormatError,
-    parse_kv_config,
-    split_fields,
-    split_quoted_list,
-)
+from .lineformat import for_each_line, parse_kv_config, split_quoted_list
 from .policy import RightsTuple, validate_role_name, validate_subject_dn
 
 ACCOUNT_RE = re.compile(r"[a-z_][a-z0-9_-]*\Z")
@@ -109,37 +103,31 @@ def _validate_account(token: str) -> str:
 def parse_role_map(text: str) -> tuple[tuple[str, str], ...]:
     """Parse ``<vo>/<role> <account>`` lines; order is significant."""
     entries: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        try:
-            fields = split_fields(raw)
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise ValueError("expected <vo>/<role> <account>")
-            entries.append((validate_role_name(fields[0]), _validate_account(fields[1])))
-        except (LineFormatError, ValueError) as exc:
-            raise MapFileError(lineno, str(exc)) from exc
+
+    def parse(fields: list[str]) -> None:
+        if len(fields) != 2:
+            raise ValueError("expected <vo>/<role> <account>")
+        entries.append((validate_role_name(fields[0]), _validate_account(fields[1])))
+
+    for_each_line(text, parse, MapFileError)
     return tuple(entries)
 
 
 def parse_grid_map(text: str) -> dict[str, tuple[str, ...]]:
     """Parse ``"<DN>" <account>[,<account>...]`` lines."""
     entries: dict[str, tuple[str, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        try:
-            fields = split_fields(raw)
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise ValueError('expected "<DN>" <account>[,<account>...]')
-            dn = validate_subject_dn(fields[0])
-            accounts = [_validate_account(a) for a in split_quoted_list(fields[1])]
-            if not accounts:
-                raise ValueError("empty account list")
-            merged = entries.get(dn, ()) + tuple(accounts)
-            entries[dn] = tuple(dict.fromkeys(merged))
-        except (LineFormatError, ValueError) as exc:
-            raise MapFileError(lineno, str(exc)) from exc
+
+    def parse(fields: list[str]) -> None:
+        if len(fields) != 2:
+            raise ValueError('expected "<DN>" <account>[,<account>...]')
+        dn = validate_subject_dn(fields[0])
+        accounts = [_validate_account(a) for a in split_quoted_list(fields[1])]
+        if not accounts:
+            raise ValueError("empty account list")
+        merged = entries.get(dn, ()) + tuple(accounts)
+        entries[dn] = tuple(dict.fromkeys(merged))
+
+    for_each_line(text, parse, MapFileError)
     return entries
 
 
@@ -152,23 +140,20 @@ class AccountInfo:
 def parse_account_table(text: str) -> dict[str, AccountInfo]:
     """Parse ``<account> <home-path> <ro|rw>`` lines."""
     table: dict[str, AccountInfo] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        try:
-            fields = split_fields(raw)
-            if not fields:
-                continue
-            if len(fields) != 3:
-                raise ValueError("expected <account> <home-path> <ro|rw>")
-            account = _validate_account(fields[0])
-            if account in table:
-                raise ValueError("duplicate account %r" % account)
-            if fields[2] not in ("ro", "rw"):
-                raise ValueError("mode must be 'ro' or 'rw', got %r" % fields[2])
-            table[account] = AccountInfo(
-                home=canonical_path(fields[1]), writable=fields[2] == "rw"
-            )
-        except (LineFormatError, ValueError) as exc:
-            raise MapFileError(lineno, str(exc)) from exc
+
+    def parse(fields: list[str]) -> None:
+        if len(fields) != 3:
+            raise ValueError("expected <account> <home-path> <ro|rw>")
+        account = _validate_account(fields[0])
+        if account in table:
+            raise ValueError("duplicate account %r" % account)
+        if fields[2] not in ("ro", "rw"):
+            raise ValueError("mode must be 'ro' or 'rw', got %r" % fields[2])
+        table[account] = AccountInfo(
+            home=canonical_path(fields[1]), writable=fields[2] == "rw"
+        )
+
+    for_each_line(text, parse, MapFileError)
     return table
 
 
@@ -343,6 +328,8 @@ class AuditLog:
 class ResourceService:
     """Session state machine plus the immutable maps it consults."""
 
+    io_timeout = IO_TIMEOUT_SECONDS
+
     def __init__(
         self,
         server_name: str,
@@ -400,15 +387,14 @@ class ResourceService:
         try:
             peer = authenticate_peer(channel, self.trust_root, self.clock())
         except HandshakeError as exc:
-            _best_effort_send(
-                channel,
-                {"type": "response", "status": 401, "code": exc.code, "message": str(exc)},
-            )
+            wire.send_best_effort(channel, _failure(401, exc.code, str(exc)))
             return
-        session = _Session(self, peer)
         try:
-            session.run(channel)
-        except (wire.WireError, AuditError):
+            _Session(self, peer).run(channel)
+        except AuditError:
+            message = "cannot record the operation, refusing to serve it"
+            wire.send_best_effort(channel, _failure(500, "audit-unavailable", message))
+        except wire.WireError:
             pass
 
     def audit(
@@ -448,36 +434,20 @@ class _Session:
         self.saw_traffic = False
 
     def run(self, channel: wire.Channel) -> None:
-        try:
-            while True:
-                frame = channel.recv_frame()
-                kind = frame.get("type")
-                if kind == "present_assertion":
-                    if not self._present_assertion(channel, frame):
-                        return
-                elif kind == "command":
-                    if not self._command(channel, frame):
-                        return
-                else:
-                    channel.send_frame(
-                        _protocol_error("unsupported frame type %r" % kind)
-                    )
+        while True:
+            frame = channel.recv_frame()
+            kind = frame.get("type")
+            if kind == "present_assertion":
+                if not self._present_assertion(channel, frame):
                     return
-        except wire.ConnectionClosedError:
-            return
-        except AuditError:
-            _best_effort_send(
-                channel,
-                {
-                    "type": "response",
-                    "status": 500,
-                    "code": "audit-unavailable",
-                    "message": "cannot record the operation, refusing to serve it",
-                },
-            )
-            return
-        finally:
-            channel.close()
+            elif kind == "command":
+                if not self._command(channel, frame):
+                    return
+            else:
+                channel.send_frame(
+                    _protocol_error("unsupported frame type %r" % kind)
+                )
+                return
 
     # -- assertion intake ------------------------------------------------------
 
@@ -492,9 +462,7 @@ class _Session:
 
         def reject(status: int, code: str, message: str, issuer: Optional[str]) -> bool:
             service.audit(self.peer.subject, issuer, None, "MAP", _NO_VALUE, False, code)
-            channel.send_frame(
-                {"type": "response", "status": status, "code": code, "message": message}
-            )
+            channel.send_frame(_failure(status, code, message))
             return False
 
         try:
@@ -572,33 +540,40 @@ class _Session:
             service.audit(
                 self.peer.subject, self.issuer, None, "MAP", _NO_VALUE, False, exc.code
             )
-            channel.send_frame(
-                {"type": "response", "status": 403, "code": exc.code, "message": str(exc)}
-            )
+            channel.send_frame(_failure(403, exc.code, str(exc)))
             return False
         return True
 
-    def _check(self, channel: wire.Channel, op: str, raw_path) -> Optional[str]:
-        """Canonicalize and authorize; audit and respond on failure."""
+    def _authorize(
+        self, channel: wire.Channel, op: str, raw_path, before_refuse=None
+    ) -> Optional[tuple[str, str]]:
+        """Canonicalize, authorize and resolve a client path.
+
+        Returns ``(path, fs_path)``. On refusal, calls ``before_refuse``
+        (if given), audits, responds, and returns None.
+        """
         service = self.service
+        path = str(raw_path)  # what a bad-path refusal audits
         try:
             path = canonical_path(raw_path)
+            verdict = authorize_file_op(
+                self.rights,
+                self.decision,
+                op,
+                path,
+                service.account_table,
+                service.server_name,
+                service.public_root,
+            )
+            if verdict.allowed:
+                return path, service.fs_path(path)
+            refusal = (403, verdict.reason, "denied by %s" % verdict.reason)
         except PathError as exc:
-            self._refuse(channel, op, str(raw_path), 400, "bad-path", str(exc))
-            return None
-        verdict = authorize_file_op(
-            self.rights,
-            self.decision,
-            op,
-            path,
-            service.account_table,
-            service.server_name,
-            service.public_root,
-        )
-        if not verdict.allowed:
-            self._refuse(channel, op, path, 403, verdict.reason, "denied by %s" % verdict.reason)
-            return None
-        return path
+            refusal = (400, "bad-path", str(exc))
+        if before_refuse is not None:
+            before_refuse()
+        self._refuse(channel, op, path, *refusal)
+        return None
 
     def _refuse(
         self, channel: wire.Channel, op: str, path: str, status: int, code: str, message: str
@@ -606,9 +581,7 @@ class _Session:
         self.service.audit(
             self.peer.subject, self.issuer, self.decision, op, path, False, code
         )
-        channel.send_frame(
-            {"type": "response", "status": status, "code": code, "message": message}
-        )
+        channel.send_frame(_failure(status, code, message))
 
     def _allow(self, op: str, path: str) -> None:
         self.service.audit(
@@ -616,14 +589,10 @@ class _Session:
         )
 
     def _list(self, channel: wire.Channel, frame: dict) -> bool:
-        path = self._check(channel, "LIST", frame.get("path"))
-        if path is None:
+        target = self._authorize(channel, "LIST", frame.get("path"))
+        if target is None:
             return True
-        try:
-            fs = self.service.fs_path(path)
-        except PathError as exc:
-            self._refuse(channel, "LIST", path, 400, "bad-path", str(exc))
-            return True
+        path, fs = target
         if not os.path.exists(fs):
             self._refuse(channel, "LIST", path, 404, "not-found", "no such path")
             return True
@@ -636,14 +605,10 @@ class _Session:
         return True
 
     def _get(self, channel: wire.Channel, frame: dict) -> bool:
-        path = self._check(channel, "GET", frame.get("path"))
-        if path is None:
+        target = self._authorize(channel, "GET", frame.get("path"))
+        if target is None:
             return True
-        try:
-            fs = self.service.fs_path(path)
-        except PathError as exc:
-            self._refuse(channel, "GET", path, 400, "bad-path", str(exc))
-            return True
+        path, fs = target
         if not os.path.isfile(fs):
             self._refuse(channel, "GET", path, 404, "not-found", "no such file")
             return True
@@ -673,11 +638,20 @@ class _Session:
         def drain() -> None:
             channel.recv_bytes_to(size, _NullSink())
 
-        path = self._check_put_path(channel, frame.get("path"), drain)
-        if path is None:
+        target = self._authorize(channel, "PUT", frame.get("path"), drain)
+        if target is None:
             return True
-        fs, fd = self._open_put_target(channel, path, drain)
-        if fd is None:
+        path, fs = target
+        try:
+            # O_EXCL makes "PUT never overwrites" race-free.
+            fd = os.open(fs, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+        except FileExistsError:
+            drain()
+            self._refuse(channel, "PUT", path, 409, "exists", "refusing to overwrite")
+            return True
+        except (FileNotFoundError, NotADirectoryError):
+            drain()
+            self._refuse(channel, "PUT", path, 404, "missing-parent", "no such directory")
             return True
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -694,46 +668,6 @@ class _Session:
         self._allow("PUT", path)
         channel.send_frame({"type": "response", "status": 200, "size": size})
         return True
-
-    def _check_put_path(self, channel, raw_path, drain) -> Optional[str]:
-        service = self.service
-        try:
-            path = canonical_path(raw_path)
-        except PathError as exc:
-            drain()
-            self._refuse(channel, "PUT", str(raw_path), 400, "bad-path", str(exc))
-            return None
-        verdict = authorize_file_op(
-            self.rights,
-            self.decision,
-            "PUT",
-            path,
-            service.account_table,
-            service.server_name,
-            service.public_root,
-        )
-        if not verdict.allowed:
-            drain()
-            self._refuse(channel, "PUT", path, 403, verdict.reason, "denied by %s" % verdict.reason)
-            return None
-        return path
-
-    def _open_put_target(self, channel, path: str, drain):
-        try:
-            fs = self.service.fs_path(path)
-            # O_EXCL makes "PUT never overwrites" race-free.
-            fd = os.open(fs, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            return fs, fd
-        except FileExistsError:
-            drain()
-            self._refuse(channel, "PUT", path, 409, "exists", "refusing to overwrite")
-        except (FileNotFoundError, NotADirectoryError):
-            drain()
-            self._refuse(channel, "PUT", path, 404, "missing-parent", "no such directory")
-        except PathError as exc:
-            drain()
-            self._refuse(channel, "PUT", path, 400, "bad-path", str(exc))
-        return path, None
 
 
 class _NullSink:
@@ -754,38 +688,18 @@ def _unlink_quietly(path: str) -> None:
         pass
 
 
+def _failure(status: int, code: str, message: str) -> dict:
+    return {"type": "response", "status": status, "code": code, "message": message}
+
+
 def _protocol_error(message: str) -> dict:
     return {"type": "error", "status": 400, "code": "protocol-error", "message": message}
-
-
-def _best_effort_send(channel: wire.Channel, frame: dict) -> None:
-    try:
-        channel.send_frame(frame)
-    except OSError:
-        pass
 
 
 # -- server plumbing and configuration ------------------------------------------
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self):
-        service: ResourceService = self.server.service  # type: ignore[attr-defined]
-        channel = wire.Channel(self.request, timeout=IO_TIMEOUT_SECONDS)
-        service.handle_session(channel)
-
-
-class FileServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], service: ResourceService):
-        super().__init__(address, _Handler)
-        self.service = service
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
+FileServer = wire.Server
 
 
 @dataclass(frozen=True)
@@ -893,15 +807,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, CredentialError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    host, port = server.address
-    print("file service %s listening on %s:%d" % (service.server_name, host, port))
-    sys.stdout.flush()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
+    server.run("file service %s" % service.server_name)
     return 0
 
 

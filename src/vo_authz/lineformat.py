@@ -47,12 +47,19 @@ def quote_field(value: str) -> str:
     return value
 
 
-def iter_content_lines(text: str):
-    """Yield (line_number, fields) for every non-empty, non-comment line."""
+def for_each_line(text: str, handle_line, error, catch=ValueError) -> None:
+    """Call ``handle_line(fields)`` for every non-empty, non-comment line.
+
+    A tokenizer error, or a ``catch`` exception from ``handle_line``, is
+    re-raised as ``error(line_number, reason)`` (line numbers from 1).
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = split_fields(raw)
-        if fields:
-            yield lineno, fields
+        try:
+            fields = split_fields(raw)
+            if fields:
+                handle_line(fields)
+        except catch as exc:
+            raise error(lineno, str(exc)) from exc
 
 
 def parse_kv_config(text: str) -> dict[str, str]:

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Literal, Mapping
 
-from .lineformat import LineFormatError, quote_field, split_fields
+from .lineformat import for_each_line, quote_field
 
 TOKEN_RE = re.compile(r"[a-z][a-z0-9_-]*\Z")
 ROLE_PART_RE = re.compile(r"[a-zA-Z0-9][a-zA-Z0-9._-]*\Z")
@@ -229,18 +229,13 @@ def apply_command_file(store: PolicyStore, text: str) -> tuple[PolicyStore, int]
     """
     applied = 0
     current = store
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        try:
-            fields = split_fields(raw)
-        except LineFormatError as exc:
-            raise CommandFileError(lineno, str(exc)) from exc
-        if not fields:
-            continue
-        try:
-            current = _apply_command(current, fields)
-        except (PolicyError, ValueError) as exc:
-            raise CommandFileError(lineno, str(exc)) from exc
+
+    def apply(fields: list[str]) -> None:
+        nonlocal applied, current
+        current = _apply_command(current, fields)
         applied += 1
+
+    for_each_line(text, apply, CommandFileError, catch=(PolicyError, ValueError))
     return current, applied
 
 

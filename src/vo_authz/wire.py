@@ -1,17 +1,22 @@
-"""Message framing shared by both services and the client.
+"""Message framing and the connection server shared by both services.
 
 Every message is a 4-byte big-endian unsigned length (at most 1 MiB)
 followed by that many bytes of UTF-8 JSON with a top-level ``type``
 field. File payloads are the sole exception: raw bytes of a
 pre-declared size follow a ``data_header`` frame (downloads) or a
 ``command`` frame (uploads).
+
+Both services run on :class:`Server`: accept, hand the framed channel
+to the service's ``handle_session``, close.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import struct
+import sys
 
 MAX_FRAME_BYTES = 1_048_576
 _CHUNK = 65536
@@ -68,9 +73,6 @@ class Channel:
     def send_bytes(self, data: bytes) -> None:
         self._sock.sendall(data)
 
-    def recv_bytes(self, size: int) -> bytes:
-        return self._recv_exact(size)
-
     def recv_bytes_to(self, size: int, writer) -> None:
         """Stream exactly ``size`` payload bytes into ``writer.write``."""
         remaining = size
@@ -100,6 +102,54 @@ class Channel:
         while len(buf) < size:
             buf.extend(self._recv_some(min(_CHUNK, size - len(buf))))
         return bytes(buf)
+
+
+def send_best_effort(channel: Channel, frame: dict) -> None:
+    """Send a final frame, ignoring a peer that has already gone."""
+    try:
+        channel.send_frame(frame)
+    except OSError:
+        pass
+
+
+class Server(socketserver.ThreadingTCPServer):
+    """Thread-per-connection server for a service.
+
+    The service provides ``io_timeout`` (seconds) and
+    ``handle_session(channel)``; the server closes the channel when the
+    session returns.
+    """
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address: tuple[str, int], service):
+        # finish_request below serves each connection; no handler class runs.
+        super().__init__(address, socketserver.BaseRequestHandler)
+        self.service = service
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.server_address[0], self.server_address[1]
+
+    def finish_request(self, request, client_address) -> None:
+        channel = Channel(request, timeout=self.service.io_timeout)
+        try:
+            self.service.handle_session(channel)
+        finally:
+            channel.close()
+
+    def run(self, banner: str) -> None:
+        """Print ``<banner> listening on host:port`` and serve until interrupted."""
+        host, port = self.address
+        print("%s listening on %s:%d" % (banner, host, port))
+        sys.stdout.flush()
+        try:
+            self.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            self.server_close()
 
 
 def connect(address: tuple[str, int], timeout: float | None = 10.0) -> Channel:

@@ -258,6 +258,27 @@ def test_admin_load_over_tcp(cas_server, identities, cas_service):
     ]
 
 
+@pytest.mark.parametrize("failure", ["missing-directory", "rename-blocked"])
+def test_failed_snapshot_write_answers_500_and_keeps_store(
+    cas_server, cas_service, identities, demo_store, tmp_path, failure
+):
+    if failure == "missing-directory":
+        cas_service.snapshot_path = str(tmp_path / "gone" / "policy.snapshot")
+    else:
+        # The temporary file is written, then the rename onto a directory fails.
+        os.mkdir(cas_service.snapshot_path)
+    with pytest.raises(ServiceError) as exc:
+        admin_load(
+            cas_server.address,
+            identities.bundle(ADMIN),
+            'rescind "%s" member atlas/admin\n' % TULL,
+        )
+    assert exc.value.status == 500
+    assert exc.value.code == "snapshot-failed"
+    assert cas_service.store == demo_store
+    assert not list(tmp_path.rglob("*.tmp.*"))
+
+
 def test_denied_issue_over_tcp_raises_service_error(cas_server, identities):
     bundle = identities.bundle(WELLS)
     with pytest.raises(ServiceError) as exc:

@@ -2,14 +2,21 @@ from __future__ import annotations
 
 import pytest
 
+from vo_authz.engine import FilterFileError, parse_filter_file
+from vo_authz.file_server import (
+    MapFileError,
+    parse_account_table,
+    parse_grid_map,
+    parse_role_map,
+)
 from vo_authz.lineformat import (
     LineFormatError,
-    iter_content_lines,
     parse_kv_config,
     quote_field,
     split_fields,
     split_quoted_list,
 )
+from vo_authz.policy import CommandFileError, PolicyStore, apply_command_file
 
 
 @pytest.mark.parametrize(
@@ -47,9 +54,27 @@ def test_quote_field_round_trips_through_split():
         assert split_fields(line) == ["verb", value, "tail"]
 
 
-def test_iter_content_lines_numbers():
-    text = "# c\n\na b\n\nc\n"
-    assert list(iter_content_lines(text)) == [(3, ["a", "b"]), (5, ["c"])]
+@pytest.mark.parametrize(
+    "parse,error,bad_line",
+    [
+        (parse_role_map, MapFileError, '"demo/admin admin'),
+        (parse_grid_map, MapFileError, '"/O=x/CN=A"'),
+        (parse_account_table, MapFileError, "admin /home"),
+        (parse_filter_file, FilterFileError, "group member demo/data"),
+        (
+            lambda text: apply_command_file(PolicyStore(), text),
+            CommandFileError,
+            "grant /O=x/CN=A member demo/data",
+        ),
+    ],
+    ids=["role_map", "grid_map", "account_table", "filter_file", "command_file"],
+)
+def test_line_file_error_names_the_line(parse, error, bad_line):
+    # Comment and blank lines are skipped but still counted.
+    with pytest.raises(error) as exc:
+        parse("# comment\n\n%s\n" % bad_line)
+    assert exc.value.line == 3
+    assert str(exc.value).startswith("line 3: ")
 
 
 def test_parse_kv_config():

@@ -53,7 +53,9 @@ def test_raw_bytes_after_frame(pair):
     left.send_frame({"type": "data_header", "size": len(payload)})
     left.send_bytes(payload)
     header = right.recv_frame()
-    assert right.recv_bytes(header["size"]) == payload
+    sink = io.BytesIO()
+    right.recv_bytes_to(header["size"], sink)
+    assert sink.getvalue() == payload
 
 
 def test_recv_bytes_to_streams_into_writer(pair):
