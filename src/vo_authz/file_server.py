@@ -394,8 +394,6 @@ class ResourceService:
         except AuditError:
             message = "cannot record the operation, refusing to serve it"
             wire.send_best_effort(channel, _failure(500, "audit-unavailable", message))
-        except wire.WireError:
-            pass
 
     def audit(
         self,

@@ -10,14 +10,16 @@ action on.
 
 Stores are immutable values; every mutation returns a new store, which
 gives bulk loads their atomicity for free and lets concurrent readers
-hold a consistent snapshot.
+hold a consistent snapshot. Every write goes through one mutable
+working copy, so a command file of N commands builds one new store,
+not N.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Literal, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Literal, Mapping
 
 from .lineformat import for_each_line, quote_field
 
@@ -143,16 +145,95 @@ class ServiceType:
 
 @dataclass(frozen=True)
 class PolicyStore:
-    """Immutable policy database value; mutations return a new store."""
+    """Immutable policy database value; mutations return a new store.
+
+    Construction derives two lookup indexes (a subject's rights in
+    canonical order, and each action's service type), so no lookup
+    touches the whole store.
+    """
 
     service_types: Mapping[str, ServiceType] = field(default_factory=dict)
     objects: frozenset[tuple[str, str]] = frozenset()
     subjects: frozenset[str] = frozenset()
     grants: frozenset[tuple[str, RightsTuple]] = frozenset()
+    _rights: Mapping[str, tuple[RightsTuple, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _action_types: Mapping[str, str] = field(init=False, repr=False, compare=False)
 
-    # -- registration -----------------------------------------------------
+    def __post_init__(self):
+        by_subject: dict[str, list[RightsTuple]] = {}
+        for subject, right in self.grants:
+            by_subject.setdefault(subject, []).append(right)
+        rights = {subject: tuple(sorted(held)) for subject, held in by_subject.items()}
+        action_types = {
+            action: st.name for st in self.service_types.values() for action in st.actions
+        }
+        object.__setattr__(self, "_rights", rights)
+        object.__setattr__(self, "_action_types", action_types)
+
+    # -- single-command edits ---------------------------------------------
 
     def register_service_type(self, service_type: ServiceType) -> "PolicyStore":
+        return self._edited(lambda b: b.register_service_type(service_type))
+
+    def register_subject(self, subject: str) -> "PolicyStore":
+        return self._edited(lambda b: b.register_subject(subject))
+
+    def register_object(self, service_type: str, target: str) -> "PolicyStore":
+        return self._edited(lambda b: b.register_object(service_type, target))
+
+    def grant(self, subject: str, right: RightsTuple) -> "PolicyStore":
+        return self._edited(lambda b: b.grant(subject, right))
+
+    def rescind(self, subject: str, right: RightsTuple) -> "PolicyStore":
+        return self._edited(lambda b: b.rescind(subject, right))
+
+    def _edited(self, edit: Callable[["_Builder"], None]) -> "PolicyStore":
+        builder = _Builder(self)
+        edit(builder)
+        return builder.freeze()
+
+    # -- lookups ----------------------------------------------------------
+
+    def rights_of(self, subject: str) -> list[RightsTuple]:
+        """All rights granted to a subject, deterministically ordered."""
+        return list(self._rights.get(subject, ()))
+
+    def service_type_for_action(self, action: str) -> str:
+        return _service_type_for_action(self._action_types, action)
+
+
+def _service_type_for_action(action_types: Mapping[str, str], action: str) -> str:
+    try:
+        return action_types[action]
+    except KeyError:
+        raise UnregisteredError("no registered service type has action %r" % action) from None
+
+
+class _Builder:
+    """Mutable working copy of a store, holding every write rule.
+
+    It copies every container it takes from the store, so a failed edit
+    leaves the store untouched; :meth:`freeze` makes the new value.
+    """
+
+    def __init__(self, store: PolicyStore):
+        self.service_types = dict(store.service_types)
+        self.action_types = dict(store._action_types)
+        self.objects = set(store.objects)
+        self.subjects = set(store.subjects)
+        self.grants = set(store.grants)
+
+    def freeze(self) -> PolicyStore:
+        return PolicyStore(
+            service_types=self.service_types,
+            objects=frozenset(self.objects),
+            subjects=frozenset(self.subjects),
+            grants=frozenset(self.grants),
+        )
+
+    def register_service_type(self, service_type: ServiceType) -> None:
         if service_type.name in self.service_types:
             raise PolicyError("duplicate service type %r" % service_type.name)
         for other in self.service_types.values():
@@ -164,23 +245,19 @@ class PolicyStore:
                     "action %r already belongs to service type %r"
                     % (sorted(clash)[0], other.name)
                 )
-        types = dict(self.service_types)
-        types[service_type.name] = service_type
-        return replace(self, service_types=types)
+        self.service_types[service_type.name] = service_type
+        for action in service_type.actions:
+            self.action_types[action] = service_type.name
 
-    def register_subject(self, subject: str) -> "PolicyStore":
-        validate_subject_dn(subject)
-        return replace(self, subjects=self.subjects | {subject})
+    def register_subject(self, subject: str) -> None:
+        self.subjects.add(validate_subject_dn(subject))
 
-    def register_object(self, service_type: str, target: str) -> "PolicyStore":
+    def register_object(self, service_type: str, target: str) -> None:
         if service_type not in self.service_types:
             raise UnregisteredError("unknown service type %r" % service_type)
-        _validate_target(target)
-        return replace(self, objects=self.objects | {(service_type, target)})
+        self.objects.add((service_type, _validate_target(target)))
 
-    # -- grants -----------------------------------------------------------
-
-    def grant(self, subject: str, right: RightsTuple) -> "PolicyStore":
+    def grant(self, subject: str, right: RightsTuple) -> None:
         if subject not in self.subjects:
             raise UnregisteredError("unregistered subject %r" % subject)
         st = self.service_types.get(right.service_type)
@@ -195,20 +272,10 @@ class PolicyStore:
                 "unregistered object %r of service type %r"
                 % (right.target, right.service_type)
             )
-        return replace(self, grants=self.grants | {(subject, right)})
+        self.grants.add((subject, right))
 
-    def rescind(self, subject: str, right: RightsTuple) -> "PolicyStore":
-        return replace(self, grants=self.grants - {(subject, right)})
-
-    def rights_of(self, subject: str) -> list[RightsTuple]:
-        """All rights granted to a subject, deterministically ordered."""
-        return sorted(right for holder, right in self.grants if holder == subject)
-
-    def service_type_for_action(self, action: str) -> str:
-        owners = [st.name for st in self.service_types.values() if action in st.actions]
-        if not owners:
-            raise UnregisteredError("no registered service type has action %r" % action)
-        return owners[0]
+    def rescind(self, subject: str, right: RightsTuple) -> None:
+        self.grants.discard((subject, right))
 
 
 # -- command files ---------------------------------------------------------
@@ -225,18 +292,19 @@ def apply_command_file(store: PolicyStore, text: str) -> tuple[PolicyStore, int]
 
     Returns the new store and the number of commands applied. Any error
     raises :class:`CommandFileError` naming the offending line, and the
-    caller's store is untouched (stores are values).
+    caller's store is untouched: the commands edit one private working
+    copy, frozen into a new store once at the end.
     """
     applied = 0
-    current = store
+    builder = _Builder(store)
 
     def apply(fields: list[str]) -> None:
-        nonlocal applied, current
-        current = _apply_command(current, fields)
+        nonlocal applied
+        _apply_command(builder, fields)
         applied += 1
 
     for_each_line(text, apply, CommandFileError, catch=(PolicyError, ValueError))
-    return current, applied
+    return builder.freeze(), applied
 
 
 def _parse_mode(fields: list[str]) -> MatchMode:
@@ -248,7 +316,7 @@ def _parse_mode(fields: list[str]) -> MatchMode:
     return mode  # type: ignore[return-value]
 
 
-def _apply_command(store: PolicyStore, fields: list[str]) -> PolicyStore:
+def _apply_command(builder: _Builder, fields: list[str]) -> None:
     verb = fields[0]
     if verb == "servicetype":
         if len(fields) != 3:
@@ -256,29 +324,31 @@ def _apply_command(store: PolicyStore, fields: list[str]) -> PolicyStore:
         actions = [a for a in fields[2].split(",") if a]
         if len(actions) != len(set(actions)):
             raise ValueError("duplicate action in %r" % fields[2])
-        return store.register_service_type(ServiceType(fields[1], frozenset(actions)))
-    if verb == "user":
+        builder.register_service_type(ServiceType(fields[1], frozenset(actions)))
+    elif verb == "user":
         if len(fields) != 2:
             raise ValueError("user takes <subject-dn>")
-        return store.register_subject(fields[1])
-    if verb == "object":
+        builder.register_subject(fields[1])
+    elif verb == "object":
         if len(fields) != 3:
             raise ValueError("object takes <servicetype> <target>")
-        return store.register_object(fields[1], fields[2])
-    if verb in ("grant", "rescind"):
+        builder.register_object(fields[1], fields[2])
+    elif verb in ("grant", "rescind"):
         if len(fields) not in (4, 5):
             raise ValueError("%s takes <subject-dn> <action> <target> [exact|wildcard]" % verb)
         subject = validate_subject_dn(fields[1])
         right = RightsTuple(
-            service_type=store.service_type_for_action(fields[2]),
+            service_type=_service_type_for_action(builder.action_types, fields[2]),
             action=fields[2],
             target=fields[3],
             match_mode=_parse_mode(fields),
         )
         if verb == "grant":
-            return store.grant(subject, right)
-        return store.rescind(subject, right)
-    raise ValueError("unknown command %r" % verb)
+            builder.grant(subject, right)
+        else:
+            builder.rescind(subject, right)
+    else:
+        raise ValueError("unknown command %r" % verb)
 
 
 def save_snapshot(store: PolicyStore) -> bytes:
@@ -291,16 +361,13 @@ def save_snapshot(store: PolicyStore) -> bytes:
         lines.append("user %s" % quote_field(subject))
     for service_type, target in sorted(store.objects):
         lines.append("object %s %s" % (service_type, target))
-    for subject, right in sorted(store.grants, key=lambda g: (g[0],) + _sort_key(g[1])):
-        lines.append(
-            "grant %s %s %s %s"
-            % (quote_field(subject), right.action, right.target, right.match_mode)
-        )
+    for subject in sorted(store._rights):
+        quoted = quote_field(subject)
+        for right in store._rights[subject]:
+            lines.append(
+                "grant %s %s %s %s" % (quoted, right.action, right.target, right.match_mode)
+            )
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _sort_key(right: RightsTuple) -> tuple[str, str, str, str]:
-    return (right.service_type, right.action, right.target, right.match_mode)
 
 
 def load_snapshot(data: bytes) -> PolicyStore:

@@ -7,7 +7,9 @@ pre-declared size follow a ``data_header`` frame (downloads) or a
 ``command`` frame (uploads).
 
 Both services run on :class:`Server`: accept, hand the framed channel
-to the service's ``handle_session``, close.
+to the service's ``handle_session``, close. TCP sockets on both ends set
+``TCP_NODELAY``: a reply written as a frame plus payload in separate
+small writes would otherwise wait on the peer's delayed ACK.
 """
 
 from __future__ import annotations
@@ -112,12 +114,18 @@ def send_best_effort(channel: Channel, frame: dict) -> None:
         pass
 
 
+# How long shutdown() can wait for serve_forever to notice it.
+_SHUTDOWN_POLL_SECONDS = 0.05
+
+
 class Server(socketserver.ThreadingTCPServer):
     """Thread-per-connection server for a service.
 
     The service provides ``io_timeout`` (seconds) and
     ``handle_session(channel)``; the server closes the channel when the
-    session returns.
+    session returns. A session ended by a transport error (a peer gone
+    mid-message, broken framing) just closes: there is no one left to
+    answer.
     """
 
     allow_reuse_address = True
@@ -132,10 +140,16 @@ class Server(socketserver.ThreadingTCPServer):
     def address(self) -> tuple[str, int]:
         return self.server_address[0], self.server_address[1]
 
+    def serve_forever(self, poll_interval: float = _SHUTDOWN_POLL_SECONDS) -> None:
+        super().serve_forever(poll_interval)
+
     def finish_request(self, request, client_address) -> None:
+        request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         channel = Channel(request, timeout=self.service.io_timeout)
         try:
             self.service.handle_session(channel)
+        except WireError:
+            pass
         finally:
             channel.close()
 
@@ -154,6 +168,7 @@ class Server(socketserver.ThreadingTCPServer):
 
 def connect(address: tuple[str, int], timeout: float | None = 10.0) -> Channel:
     sock = socket.create_connection(address, timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return Channel(sock, timeout=timeout)
 
 

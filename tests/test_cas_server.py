@@ -95,6 +95,18 @@ def test_registered_but_grantless_subject_gets_no_rights(cas_identity, trust_roo
     assert response["code"] == "no-rights"
 
 
+def test_subject_whose_last_right_is_rescinded_gets_no_rights(cas_service):
+    assert issue(cas_service, ORWELL)["status"] == 200
+    commands = 'rescind "%s" member atlas/data\n' % ORWELL
+    response = cas_service.handle_admin_load(
+        peer(ADMIN), {"type": "admin_load", "commands": commands}
+    )
+    assert response["status"] == 200
+    response = issue(cas_service, ORWELL)
+    assert response["status"] == 403
+    assert response["code"] == "no-rights"
+
+
 def test_issue_window_uses_requested_lifetime(cas_service, now):
     response = issue(cas_service, TULL, lifetime_seconds=60)
     body = assertion_from_doc(response["assertion"]).body

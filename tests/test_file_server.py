@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import itertools
 import os
+import statistics
+import threading
+import time
 from datetime import timedelta
 
 import pytest
 
+from vo_authz import wire
 from vo_authz.client import ResourceSession, ServiceError
 from vo_authz.credentials import VerifiedRights
 from vo_authz.engine import Decision
@@ -422,6 +426,44 @@ def test_role_session_round_trip(resource_env, identities, cas_identity, now):
         assert session.get_bytes("/home/data/new.dat") == b"fresh payload"
         assert session.ls("/home/data") == ["new.dat", "run1.dat"]
         session.quit()
+
+
+def test_small_gets_and_puts_do_not_wait_for_delayed_acks(
+    resource_env, identities, cas_identity, now
+):
+    # A reply sent as several small writes must not sit in the sender's
+    # buffer until the peer's delayed ACK fires (about 40 ms on Linux).
+    assertion = data_assertion(cas_identity, now)
+    gets, puts = [], []
+    with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
+        for i in range(5):
+            start = time.perf_counter()
+            assert session.get_bytes("/home/data/run1.dat") == RUN1_BYTES
+            gets.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            session.put("/home/data/quick-%d.dat" % i, b"x" * 512)
+            puts.append(time.perf_counter() - start)
+        session.quit()
+    assert statistics.median(gets) < 0.020
+    assert statistics.median(puts) < 0.020
+
+
+def test_peer_closing_mid_handshake_is_not_a_server_error(resource_env):
+    server = resource_env.server
+    errors, finished = [], threading.Event()
+    server.handle_error = lambda request, address: errors.append(address)
+    shutdown_request = server.shutdown_request
+
+    def shutdown_and_signal(request):
+        shutdown_request(request)
+        finished.set()
+
+    server.shutdown_request = shutdown_and_signal
+    channel = wire.connect(resource_env.address, timeout=5.0)
+    assert channel.recv_frame()["type"] == "challenge"
+    channel.close()
+    assert finished.wait(timeout=5)
+    assert errors == []
 
 
 def test_put_never_overwrites(resource_env, identities, cas_identity, now):

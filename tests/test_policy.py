@@ -20,6 +20,7 @@ from vo_authz.policy import (
     validate_role_name,
     validate_subject_dn,
 )
+from vo_authz.lineformat import quote_field
 
 from .conftest import DEMO_POLICY, ORWELL, TULL
 from .oracles import GrantModel
@@ -355,3 +356,244 @@ def test_snapshot_preserves_wildcard_grants():
     right = RightsTuple("file", "read", "ftp://h/*", WILDCARD)
     store = store.grant(TULL, right)
     assert load_snapshot(save_snapshot(store)).rights_of(TULL) == [right]
+
+
+# -- indexes against the model ---------------------------------------------------
+#
+# Each action belongs to one service type, and each (action, target, mode)
+# below is one rights tuple the random edits draw from.
+ACTION_TYPES = {"member": "group", "read": "file", "write": "file"}
+SERVICE_TYPES = {"group": "member", "file": "read,write"}
+RANDOM_TUPLES = [
+    ("group", "member", "atlas/admin", EXACT),
+    ("group", "member", "atlas/data", EXACT),
+    ("file", "read", "ftp://h/*", WILDCARD),
+    ("file", "write", "ftp://h/data/*", WILDCARD),
+]
+RANDOM_OBJECTS = [("group", "atlas/admin"), ("group", "atlas/data"), ("file", "ftp://h/x")]
+RANDOM_SUBJECTS = [TULL, ORWELL, "/O=x/CN=Short", "/O=x/CN=Has # hash"]
+
+
+class StoreModel:
+    """Registrations plus :class:`GrantModel`, with the rules spelled out."""
+
+    def __init__(self):
+        self.types: set[str] = set()
+        self.subjects: set[str] = set()
+        self.objects: set[tuple[str, str]] = set()
+        self.grants = GrantModel()
+
+    def copy(self) -> "StoreModel":
+        other = StoreModel()
+        other.types, other.subjects = set(self.types), set(self.subjects)
+        other.objects = set(self.objects)
+        other.grants.pairs = set(self.grants.pairs)
+        return other
+
+    def apply(self, op: tuple, as_line: bool) -> bool:
+        """Apply one edit; return False, changing nothing, if it must fail.
+
+        A command line names only the action, so a rescind line fails on
+        an unregistered action; ``PolicyStore.rescind`` takes the tuple.
+        """
+        verb, *args = op
+        if verb == "servicetype":
+            if args[0] in self.types:
+                return False
+            self.types.add(args[0])
+        elif verb == "user":
+            self.subjects.add(args[0])
+        elif verb == "object":
+            if args[0] not in self.types:
+                return False
+            self.objects.add(tuple(args))
+        else:
+            subject, tup = args
+            if verb == "rescind":
+                if as_line and tup[0] not in self.types:
+                    return False
+                self.grants.rescind(subject, tup)
+                return True
+            if tup[0] not in self.types:
+                return False
+            if subject not in self.subjects:
+                return False
+            if tup[3] == EXACT and (tup[0], tup[2]) not in self.objects:
+                return False
+            self.grants.grant(subject, tup)
+        return True
+
+
+def random_op(rng: random.Random) -> tuple:
+    verb = rng.choice(["servicetype", "user", "object", "grant", "grant", "rescind"])
+    if verb == "servicetype":
+        return (verb, rng.choice(sorted(SERVICE_TYPES)))
+    if verb == "user":
+        return (verb, rng.choice(RANDOM_SUBJECTS))
+    if verb == "object":
+        return (verb,) + rng.choice(RANDOM_OBJECTS)
+    return (verb, rng.choice(RANDOM_SUBJECTS), rng.choice(RANDOM_TUPLES))
+
+
+def op_line(op: tuple) -> str:
+    verb, *args = op
+    if verb == "servicetype":
+        return "servicetype %s %s" % (args[0], SERVICE_TYPES[args[0]])
+    if verb == "user":
+        return 'user "%s"' % args[0]
+    if verb == "object":
+        return "object %s %s" % tuple(args)
+    subject, (_, action, target, mode) = args
+    return '%s "%s" %s %s %s' % (verb, subject, action, target, mode)
+
+
+def apply_op(store: PolicyStore, op: tuple) -> PolicyStore:
+    verb, *args = op
+    if verb == "servicetype":
+        actions = frozenset(SERVICE_TYPES[args[0]].split(","))
+        return store.register_service_type(ServiceType(args[0], actions))
+    if verb == "user":
+        return store.register_subject(args[0])
+    if verb == "object":
+        return store.register_object(*args)
+    subject, tup = args
+    if verb == "grant":
+        return store.grant(subject, RightsTuple(*tup))
+    return store.rescind(subject, RightsTuple(*tup))
+
+
+def assert_matches_model(store: PolicyStore, model: StoreModel) -> None:
+    for subject in RANDOM_SUBJECTS:
+        got = [(r.service_type, r.action, r.target, r.match_mode) for r in store.rights_of(subject)]
+        assert got == model.grants.rights_of(subject)
+    assert len(store.grants) == len(model.grants.pairs)
+    assert store.subjects == model.subjects
+    assert store.objects == model.objects
+    for action, service_type in ACTION_TYPES.items():
+        if service_type in model.types:
+            assert store.service_type_for_action(action) == service_type
+        else:
+            with pytest.raises(UnregisteredError):
+                store.service_type_for_action(action)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_edits_and_command_files_agree_with_model(seed):
+    rng = random.Random(seed)
+    store, model = PolicyStore(), StoreModel()
+    for _ in range(150):
+        if rng.random() < 0.5:
+            op = random_op(rng)
+            if model.apply(op, as_line=False):
+                store = apply_op(store, op)
+            else:
+                with pytest.raises(PolicyError):
+                    apply_op(store, op)
+        else:
+            ops = [random_op(rng) for _ in range(rng.randint(1, 8))]
+            trial, bad_line = model.copy(), None
+            for lineno, op in enumerate(ops, start=1):
+                if not trial.apply(op, as_line=True):
+                    bad_line = lineno
+                    break
+            text = "".join(op_line(op) + "\n" for op in ops)
+            if bad_line is None:
+                store, applied = apply_command_file(store, text)
+                assert applied == len(ops)
+                model = trial
+            else:
+                with pytest.raises(CommandFileError) as exc:
+                    apply_command_file(store, text)
+                assert exc.value.line == bad_line
+        assert_matches_model(store, model)
+
+
+def test_single_edits_and_one_command_file_build_equal_stores():
+    rng = random.Random(7)
+    ops, model = [], StoreModel()
+    while len(ops) < 200:
+        op = random_op(rng)
+        if model.apply(op, as_line=True):
+            ops.append(op)
+    by_edits = PolicyStore()
+    for op in ops:
+        by_edits = apply_op(by_edits, op)
+    by_file, applied = apply_command_file(
+        PolicyStore(), "".join(op_line(op) + "\n" for op in ops)
+    )
+    assert applied == len(ops)
+    assert by_file == by_edits
+    for subject in RANDOM_SUBJECTS:
+        assert by_file.rights_of(subject) == by_edits.rights_of(subject)
+    assert save_snapshot(by_file) == save_snapshot(by_edits)
+
+
+def test_failed_command_file_leaves_indexes_and_service_types_untouched(demo_store):
+    before_types = dict(demo_store.service_types)
+    before_rights = {s: demo_store.rights_of(s) for s in (TULL, ORWELL)}
+    text = (
+        "servicetype file read,write\n"
+        'user "/O=x/CN=New"\n'
+        'grant "/O=x/CN=New" read ftp://h/* wildcard\n'
+        'rescind "%s" member atlas/admin\n'
+        "object file ftp://h/x\n"
+        "bogus verb here\n"
+    ) % TULL
+    with pytest.raises(CommandFileError) as exc:
+        apply_command_file(demo_store, text)
+    assert exc.value.line == 6
+    assert dict(demo_store.service_types) == before_types
+    assert "file" not in demo_store.service_types
+    with pytest.raises(UnregisteredError):
+        demo_store.service_type_for_action("read")
+    assert {s: demo_store.rights_of(s) for s in (TULL, ORWELL)} == before_rights
+    assert demo_store.rights_of("/O=x/CN=New") == []
+    assert "/O=x/CN=New" not in demo_store.subjects
+    assert ("file", "ftp://h/x") not in demo_store.objects
+    assert demo_store == apply_command_file(PolicyStore(), DEMO_POLICY)[0]
+
+
+def test_rights_of_hands_out_a_fresh_list(demo_store):
+    demo_store.rights_of(TULL).clear()
+    assert len(demo_store.rights_of(TULL)) == 2
+
+
+def reference_snapshot(store: PolicyStore) -> bytes:
+    """The snapshot format as first defined: one sort over the whole store."""
+    lines = ["# policy snapshot (replayable command file)"]
+    for name in sorted(store.service_types):
+        actions = ",".join(sorted(store.service_types[name].actions))
+        lines.append("servicetype %s %s" % (name, actions))
+    lines += ["user %s" % quote_field(s) for s in sorted(store.subjects)]
+    lines += ["object %s %s" % o for o in sorted(store.objects)]
+    for subject, r in sorted(
+        store.grants, key=lambda g: (g[0], g[1].service_type, g[1].action, g[1].target, g[1].match_mode)
+    ):
+        lines.append("grant %s %s %s %s" % (quote_field(subject), r.action, r.target, r.match_mode))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def random_store(rng: random.Random) -> PolicyStore:
+    store = PolicyStore()
+    store = store.register_service_type(ServiceType("group", frozenset({"member"})))
+    store = store.register_service_type(ServiceType("file", frozenset({"read", "write"})))
+    roles = ["vo%d/role-%d" % (rng.randrange(3), i) for i in range(12)]
+    subjects = ["/O=vo/OU=People/CN=Member %d" % rng.randrange(10**6) for _ in range(40)]
+    commands = ["object group %s" % role for role in roles]
+    commands += ['user "%s"' % s for s in subjects]
+    for subject in subjects:
+        for role in rng.sample(roles, rng.randint(0, 4)):
+            commands.append('grant "%s" member %s' % (subject, role))
+        for action in rng.sample(["read", "write"], rng.randint(0, 2)):
+            commands.append('grant "%s" %s ftp://fs/%d/* wildcard' % (subject, action, rng.randrange(3)))
+    rng.shuffle(commands[len(roles) + len(subjects):])
+    store, _ = apply_command_file(store, "\n".join(commands) + "\n")
+    return store
+
+
+def test_snapshot_bytes_match_the_whole_store_sort(demo_store):
+    assert save_snapshot(demo_store) == reference_snapshot(demo_store)
+    store = random_store(random.Random(11))
+    assert len(store.grants) > 100
+    assert save_snapshot(store) == reference_snapshot(store)
+    assert load_snapshot(save_snapshot(store)) == store

@@ -14,6 +14,8 @@ from vo_authz.wire import (
     ConnectionClosedError,
     FrameTooLarge,
     ProtocolError,
+    Server,
+    connect,
     parse_address,
 )
 
@@ -159,3 +161,31 @@ def test_parse_address(text, expected):
 def test_parse_address_rejects(text):
     with pytest.raises(ValueError):
         parse_address(text)
+
+
+def test_tcp_connections_set_nodelay_on_both_ends():
+    server_side = []
+
+    class Probe:
+        io_timeout = 5.0
+
+        def handle_session(self, channel):
+            server_side.append(channel._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            channel.send_frame({"type": "done"})
+
+    server = Server(("127.0.0.1", 0), Probe())
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        client = connect(server.address, timeout=5.0)
+        try:
+            assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            assert client.recv_frame() == {"type": "done"}
+        finally:
+            client.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert server_side and server_side[0]
