@@ -22,6 +22,7 @@ import json
 import os
 import posixpath
 import re
+import stat
 import sys
 import threading
 from dataclasses import dataclass
@@ -60,8 +61,10 @@ from .lineformat import for_each_line, parse_kv_config, split_quoted_list
 from .policy import RightsTuple, validate_role_name, validate_subject_dn
 
 ACCOUNT_RE = re.compile(r"[a-z_][a-z0-9_-]*\Z")
+_CONTROL_CHAR = re.compile(r"[\x00-\x1f]")
 IO_TIMEOUT_SECONDS = 30.0
 MAX_PUT_BYTES = 64 * 1024 * 1024
+GET_CHUNK_BYTES = 64 * 1024  # also the largest GET reply sent in one write
 DEFAULT_PORT = 2813
 
 _NO_VALUE = "-"  # audit column placeholder
@@ -221,7 +224,7 @@ def canonical_path(path) -> str:
     """Normalize a client-supplied virtual path to an absolute form."""
     if not isinstance(path, str) or not path.startswith("/"):
         raise PathError("path must be an absolute string")
-    if any(ord(c) < 0x20 for c in path):
+    if _CONTROL_CHAR.search(path):
         raise PathError("path contains control characters")
     return posixpath.normpath(path)
 
@@ -607,19 +610,32 @@ class _Session:
         if target is None:
             return True
         path, fs = target
-        if not os.path.isfile(fs):
+        opened = _open_regular_file(fs)
+        if opened is None:
             self._refuse(channel, "GET", path, 404, "not-found", "no such file")
             return True
-        size = os.path.getsize(fs)
-        self._allow("GET", path)
-        channel.send_frame({"type": "response", "status": 200})
-        channel.send_frame({"type": "data_header", "size": size})
-        with open(fs, "rb") as handle:
-            while True:
-                chunk = handle.read(65536)
+        handle, size = opened
+        with handle:
+            self._allow("GET", path)
+            # Exactly the declared size goes out, however the file changes
+            # meanwhile; if it yields fewer bytes, the session ends.
+            want = min(size, GET_CHUNK_BYTES)
+            first = handle.read(want)
+            if len(first) < want:
+                return False
+            # A reply of up to one chunk leaves in a single write.
+            channel.send_bytes(
+                wire.encode_frame({"type": "response", "status": 200})
+                + wire.encode_frame({"type": "data_header", "size": size})
+                + first
+            )
+            remaining = size - len(first)
+            while remaining:
+                chunk = handle.read(min(remaining, GET_CHUNK_BYTES))
                 if not chunk:
-                    break
+                    return False
                 channel.send_bytes(chunk)
+                remaining -= len(chunk)
         return True
 
     def _put(self, channel: wire.Channel, frame: dict) -> bool:
@@ -673,10 +689,32 @@ class _NullSink:
         pass
 
 
+def _open_regular_file(fs: str):
+    """Open ``fs`` for reading: ``(handle, size)``, or None unless a regular file.
+
+    The size comes from the open descriptor, so it describes the file
+    that is read. ``O_NOFOLLOW`` refuses a symlink put in place after
+    ``fs_path`` checked the path; ``O_NONBLOCK`` keeps a FIFO from
+    stalling the open and does not affect reads of a regular file.
+    """
+    try:
+        fd = os.open(fs, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError:
+        return None
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode):
+            return os.fdopen(fd, "rb"), info.st_size
+    except OSError:
+        pass
+    os.close(fd)
+    return None
+
+
 def _audit_field(value: str) -> str:
     # Column integrity: the path is the one client-chosen audit field
     # that may reach here unvalidated (bad-path refusals).
-    return "".join(c if ord(c) >= 0x20 else "?" for c in value)
+    return _CONTROL_CHAR.sub("?", value)
 
 
 def _unlink_quietly(path: str) -> None:

@@ -10,39 +10,45 @@ the field validators upstream.
 
 from __future__ import annotations
 
+import re
+
 
 class LineFormatError(ValueError):
     """A line could not be tokenized (unterminated quote, stray text)."""
 
 
+# One field per match, scanning left to right; whitespace between fields
+# matches nothing and is skipped. ``\s`` is exactly ``str.isspace``. A
+# quoted field must end at whitespace, ``#`` or the end of the line; a
+# bare field runs up to whitespace or ``#`` and may hold ``"`` after its
+# first character.
+_FIELD_RE = re.compile(
+    r'"([^"]*)"(?![^\s#])'  # quoted field
+    r'|([^\s#"][^\s#]*)'  # bare field
+    r'|("[^"]*")'  # quoted field with text abutting its closing quote
+    r'|(")'  # unterminated quote
+    r"|(#)"  # comment: ends the line
+)
+_NEEDS_QUOTES = re.compile(r"[\s#]")
+
+
 def split_fields(line: str) -> list[str]:
     """Split one line into fields, honoring quotes and ``#`` comments."""
     fields: list[str] = []
-    i, n = 0, len(line)
-    while i < n:
-        while i < n and line[i].isspace():
-            i += 1
-        if i >= n or line[i] == "#":
+    for quoted, bare, abutting, unterminated, comment in _FIELD_RE.findall(line):
+        if comment:
             break
-        if line[i] == '"':
-            end = line.find('"', i + 1)
-            if end < 0:
-                raise LineFormatError("unterminated quote")
-            fields.append(line[i + 1:end])
-            i = end + 1
-            if i < n and not line[i].isspace() and line[i] != "#":
-                raise LineFormatError("text abuts closing quote")
-        else:
-            start = i
-            while i < n and not line[i].isspace() and line[i] != "#":
-                i += 1
-            fields.append(line[start:i])
+        if abutting:
+            raise LineFormatError("text abuts closing quote")
+        if unterminated:
+            raise LineFormatError("unterminated quote")
+        fields.append(bare or quoted)
     return fields
 
 
 def quote_field(value: str) -> str:
     """Quote a field for writing if the tokenizer would split or eat it."""
-    if value == "" or any(c.isspace() for c in value) or "#" in value:
+    if value == "" or _NEEDS_QUOTES.search(value):
         return '"%s"' % value
     return value
 

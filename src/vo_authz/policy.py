@@ -49,6 +49,10 @@ class CommandFileError(PolicyError):
         self.reason = reason
 
 
+_UNREPRESENTABLE_IN_DN = re.compile(r'["\x00-\x1f]')  # a quote or a control character
+_UNREPRESENTABLE_IN_TARGET = re.compile(r'[\s"]')  # whitespace (str.isspace) or a quote
+
+
 def validate_subject_dn(value: str) -> str:
     """Validate a slash-delimited distinguished name and return it."""
     if not value or value != value.strip():
@@ -57,7 +61,7 @@ def validate_subject_dn(value: str) -> str:
         raise ValueError("DN must begin with '/': %r" % value)
     if "=" not in value:
         raise ValueError("DN must contain at least one '=': %r" % value)
-    if '"' in value or any(ord(c) < 0x20 for c in value):
+    if _UNREPRESENTABLE_IN_DN.search(value):
         raise ValueError("DN contains unrepresentable characters: %r" % value)
     return value
 
@@ -73,7 +77,7 @@ def validate_role_name(value: str) -> str:
 def _validate_target(target: str) -> str:
     if not target:
         raise ValueError("target must be non-empty")
-    if any(c.isspace() for c in target) or '"' in target:
+    if _UNREPRESENTABLE_IN_TARGET.search(target):
         raise ValueError("target may not contain whitespace or quotes: %r" % target)
     return target
 

@@ -44,6 +44,14 @@ class ChannelTimeout(WireError):
     """No data arrived within the channel's timeout."""
 
 
+def encode_frame(message: dict) -> bytes:
+    """Encode one message as a length-prefixed frame, ready to send."""
+    data = json.dumps(message, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    if len(data) > MAX_FRAME_BYTES:
+        raise FrameTooLarge("outgoing frame of %d bytes" % len(data))
+    return struct.pack(">I", len(data)) + data
+
+
 class Channel:
     """A framed duplex channel over a connected socket."""
 
@@ -53,10 +61,7 @@ class Channel:
             sock.settimeout(timeout)
 
     def send_frame(self, message: dict) -> None:
-        data = json.dumps(message, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        if len(data) > MAX_FRAME_BYTES:
-            raise FrameTooLarge("outgoing frame of %d bytes" % len(data))
-        self._sock.sendall(struct.pack(">I", len(data)) + data)
+        self._sock.sendall(encode_frame(message))
 
     def recv_frame(self) -> dict:
         header = self._recv_exact(4)

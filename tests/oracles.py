@@ -3,12 +3,15 @@
 Everything here is deliberately written without looking at the package
 code paths it checks: the glob matcher is a plain recursive backtracker
 (no regex), the canonical encoder builds its JSON by string concatenation,
-and the grant/rescind model is a bare set of pairs.
+the grant/rescind model is a bare set of pairs, and the field splitter
+is a character-by-character scanner.
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timezone
+
+from vo_authz.lineformat import LineFormatError
 
 
 def glob_match(pattern: str, target: str) -> bool:
@@ -105,3 +108,28 @@ class GrantModel:
 
     def rights_of(self, subject: str) -> list[tuple[str, str, str, str]]:
         return sorted(t for s, t in self.pairs if s == subject)
+
+
+def split_fields(line: str) -> list[str]:
+    """Character-by-character field splitter: quotes, ``#`` comments, ``str.isspace``."""
+    fields: list[str] = []
+    i, n = 0, len(line)
+    while i < n:
+        while i < n and line[i].isspace():
+            i += 1
+        if i >= n or line[i] == "#":
+            break
+        if line[i] == '"':
+            end = line.find('"', i + 1)
+            if end < 0:
+                raise LineFormatError("unterminated quote")
+            fields.append(line[i + 1:end])
+            i = end + 1
+            if i < n and not line[i].isspace() and line[i] != "#":
+                raise LineFormatError("text abuts closing quote")
+        else:
+            start = i
+            while i < n and not line[i].isspace() and line[i] != "#":
+                i += 1
+            fields.append(line[start:i])
+    return fields

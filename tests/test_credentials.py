@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import socket
 import threading
@@ -542,6 +543,193 @@ def test_handshake_rejects_wrong_frame_type(trust_root, now):
     assert exc.value.code == "protocol"
     server.close()
     client.close()
+
+
+# -- verified-signature cache ------------------------------------------------------
+
+
+def handshake(bundle, root, now, nonce_key=None):
+    """Run one handshake; ``nonce_key`` signs the nonce instead of the session key."""
+    server, client = handshake_pair()
+    signer = nonce_key or bundle.private_key
+
+    def prover():
+        frame = client.recv_frame()
+        nonce = creds._unb64(frame["nonce"], "nonce")
+        client.send_frame({
+            "type": "auth",
+            "session": creds.session_to_doc(bundle.session),
+            "nonce_signature": creds._b64(signer.sign(nonce + creds.AUTH_CONTEXT)),
+        })
+
+    thread = run_prover(prover)
+    try:
+        return creds.authenticate_peer(server, root, now)
+    finally:
+        thread.join(timeout=5)
+        server.close()
+        client.close()
+
+
+@pytest.fixture
+def uncached_checks(monkeypatch):
+    """Count the signature checks that reach Ed25519 itself."""
+    calls = []
+    real = creds._check_signature
+
+    def counting(raw_key, signature, payload):
+        calls.append(payload)
+        real(raw_key, signature, payload)
+
+    monkeypatch.setattr(creds, "_check_signature", counting)
+    return calls
+
+
+def flip_first_byte(data: bytes) -> bytes:
+    return bytes([data[0] ^ 0x01]) + data[1:]
+
+
+def test_repeat_handshake_verifies_only_the_nonce(trust_root, identities, now, uncached_checks):
+    bundle = identities.bundle(TULL)
+    handshake(bundle, trust_root[1], now)
+    assert len(uncached_checks) == 3
+    del uncached_checks[:]
+    size = creds._check_signature_cached.cache_info().currsize
+    assert handshake(bundle, trust_root[1], now).subject == TULL
+    assert len(uncached_checks) == 1
+    assert uncached_checks[0].endswith(creds.AUTH_CONTEXT)
+    # The nonce signature is never stored either.
+    assert creds._check_signature_cached.cache_info().currsize == size
+
+
+def test_repeat_assertion_verify_does_no_signature_check(issuer_key, uncached_checks):
+    cred, private = issuer_key
+    assertion = make_assertion(private, serial=creds.fresh_serial())
+    creds.verify_assertion(assertion, trusted(cred), SAMPLE_ISSUED_AT)
+    assert len(uncached_checks) == 1
+    verified = creds.verify_assertion(assertion, trusted(cred), SAMPLE_ISSUED_AT)
+    assert len(uncached_checks) == 1
+    assert verified.subject == TULL
+
+
+def test_cached_identity_still_rejects_flipped_bytes(trust_root, identities, now):
+    cred, _ = identities.identity(TULL)
+    creds.verify_identity(cred, trust_root[1], now)
+    forged_signature = dataclasses.replace(cred, signature=flip_first_byte(cred.signature))
+    with pytest.raises(creds.BadSignature):
+        creds.verify_identity(forged_signature, trust_root[1], now)
+    forged_key = dataclasses.replace(cred, public_key=flip_first_byte(cred.public_key))
+    with pytest.raises(creds.BadSignature):
+        creds.verify_identity(forged_key, trust_root[1], now)
+
+
+@pytest.mark.parametrize("field", ["delegation_signature", "session_public_key"])
+def test_cached_chain_still_rejects_flipped_bytes(trust_root, identities, now, field):
+    bundle = identities.bundle(TULL)
+    handshake(bundle, trust_root[1], now)
+    session = bundle.session
+    forged = dataclasses.replace(session, **{field: flip_first_byte(getattr(session, field))})
+    with pytest.raises(creds.HandshakeError) as exc:
+        handshake(creds.SessionBundle(forged, bundle.private_key), trust_root[1], now)
+    assert exc.value.code == "chain-invalid"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda a: dataclasses.replace(a, signature=flip_first_byte(a.signature)),
+        lambda a: dataclasses.replace(
+            a, body=dataclasses.replace(a.body, serial=flip_first_byte(a.body.serial.encode()).decode())
+        ),
+        lambda a: dataclasses.replace(
+            a, body=dataclasses.replace(a.body, not_after=a.body.not_after + timedelta(seconds=1))
+        ),
+    ],
+    ids=["signature", "serial", "not_after"],
+)
+def test_cached_assertion_still_rejects_flipped_bytes(issuer_key, change):
+    cred, private = issuer_key
+    assertion = make_assertion(private)
+    creds.verify_assertion(assertion, trusted(cred), SAMPLE_ISSUED_AT)
+    with pytest.raises(creds.BadSignature):
+        creds.verify_assertion(change(assertion), trusted(cred), SAMPLE_ISSUED_AT)
+
+
+def test_cached_chain_with_foreign_nonce_signature_fails(trust_root, identities, now):
+    bundle = identities.bundle(TULL)
+    handshake(bundle, trust_root[1], now)
+    imposter_key, _ = creds.generate_keypair()
+    with pytest.raises(creds.HandshakeError) as exc:
+        handshake(bundle, trust_root[1], now, nonce_key=imposter_key)
+    assert exc.value.code == "nonce-mismatch"
+
+
+def test_cached_chain_still_checks_its_windows(trust_root, identities, now):
+    bundle = identities.bundle(TULL, session_lifetime=timedelta(hours=1))
+    handshake(bundle, trust_root[1], now)
+    for late in (bundle.session.not_after, now + timedelta(days=400)):
+        with pytest.raises(creds.HandshakeError) as exc:
+            handshake(bundle, trust_root[1], late)
+        assert exc.value.code == "expired"
+    with pytest.raises(creds.Expired):
+        creds.verify_session_chain(bundle.session, trust_root[1], bundle.session.not_after)
+    early = bundle.session.identity.not_before - timedelta(seconds=301)
+    with pytest.raises(creds.NotYetValid):
+        creds.verify_session_chain(bundle.session, trust_root[1], early)
+
+
+def test_cached_assertion_still_checks_its_window_and_issuer(issuer_key):
+    cred, private = issuer_key
+    assertion = make_assertion(private)
+    trust = trusted(cred)
+    creds.verify_assertion(assertion, trust, SAMPLE_ISSUED_AT)
+    with pytest.raises(creds.Expired):
+        creds.verify_assertion(assertion, trust, SAMPLE_NOT_AFTER)
+    with pytest.raises(creds.NotYetValid):
+        creds.verify_assertion(assertion, trust, SAMPLE_ISSUED_AT - timedelta(seconds=301))
+    with pytest.raises(creds.UntrustedIssuer):
+        creds.verify_assertion(assertion, {}, SAMPLE_ISSUED_AT)
+
+
+def test_cached_assertion_fails_under_another_key_for_the_same_issuer(issuer_key, identities):
+    cred, private = issuer_key
+    assertion = make_assertion(private)
+    creds.verify_assertion(assertion, trusted(cred), SAMPLE_ISSUED_AT)
+    other_cred, _ = identities.identity(CAS_DN)
+    with pytest.raises(creds.BadSignature):
+        creds.verify_assertion(assertion, trusted(other_cred), SAMPLE_ISSUED_AT)
+
+
+def test_failed_verification_is_not_cached(issuer_key, uncached_checks):
+    cred, private = issuer_key
+    forged = dataclasses.replace(
+        make_assertion(private, serial=creds.fresh_serial()),
+        signature=bytes(64),
+    )
+    size = creds._check_signature_cached.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(creds.BadSignature):
+            creds.verify_assertion(forged, trusted(cred), SAMPLE_ISSUED_AT)
+    assert creds._check_signature_cached.cache_info().currsize == size
+    assert len(uncached_checks) == 2
+
+
+def test_cache_stays_within_its_bound(monkeypatch):
+    # Every check succeeds here, so each distinct triple is a new entry.
+    monkeypatch.setattr(creds, "_check_signature", lambda *args: None)
+    creds._check_signature_cached.cache_clear()
+    try:
+        bound = creds.VERIFIED_CACHE_ENTRIES
+        for i in range(bound + 100):
+            assert creds._verify(bytes(32), bytes(64), b"%d" % i)
+        assert creds._check_signature_cached.cache_info().currsize == bound
+        # A payload over the size limit is checked but never stored.
+        creds._check_signature_cached.cache_clear()
+        big = bytes(creds.VERIFIED_CACHE_PAYLOAD_BYTES + 1)
+        assert creds._verify(bytes(32), bytes(64), big)
+        assert creds._check_signature_cached.cache_info().currsize == 0
+    finally:
+        creds._check_signature_cached.cache_clear()
 
 
 def test_utc_now_is_aware_whole_seconds():

@@ -499,6 +499,93 @@ def test_get_missing_file(resource_env, identities, cas_identity, now):
         assert exc.value.code == "not-found"
 
 
+def test_get_of_a_non_regular_file_is_not_found(resource_env, identities, cas_identity, now):
+    # A FIFO must be refused without blocking the server on its open.
+    os.mkfifo(os.path.join(resource_env.export_root, "home/data/pipe"))
+    assertion = data_assertion(cas_identity, now)
+    with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
+        for path in ("/home/data/pipe", "/home/data"):
+            with pytest.raises(ServiceError) as exc:
+                session.get_bytes(path)
+            assert (exc.value.status, exc.value.code) == (404, "not-found")
+        session.quit()
+
+
+def resize_during_get_audit(env, name, resize):
+    """Call ``resize(path)`` right after the GET of ``name`` is audited."""
+    path = os.path.join(env.export_root, "home/data", name)
+    audit_log = env.service.audit_log
+    write = audit_log.write
+
+    def write_then_resize(record):
+        write(record)
+        if record.op == "GET":
+            resize(path)
+
+    audit_log.write = write_then_resize
+    return path
+
+
+def append_tail(path):
+    with open(path, "ab") as handle:
+        handle.write(b"appended after the size was declared\n" * 10)
+
+
+@pytest.mark.parametrize("size", [len(RUN1_BYTES), 200_000])
+def test_get_sends_the_declared_size_of_a_growing_file(
+    resource_env, identities, cas_identity, now, size
+):
+    content = os.urandom(size)
+    path = resize_during_get_audit(resource_env, "grows.dat", append_tail)
+    with open(path, "wb") as handle:
+        handle.write(content)
+    assertion = data_assertion(cas_identity, now)
+    with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
+        assert session.get_bytes("/home/data/grows.dat") == content
+        assert session.ls("/home/data") == ["grows.dat", "run1.dat"]
+        session.quit()
+    assert os.path.getsize(path) > size
+
+
+@pytest.mark.parametrize("size", [len(RUN1_BYTES), 200_000])
+def test_get_of_a_shrinking_file_ends_the_session(
+    resource_env, identities, cas_identity, now, size
+):
+    path = resize_during_get_audit(
+        resource_env, "shrinks.dat", lambda p: os.truncate(p, size // 2)
+    )
+    with open(path, "wb") as handle:
+        handle.write(os.urandom(size))
+    assertion = data_assertion(cas_identity, now)
+    with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
+        with pytest.raises(wire.ConnectionClosedError):
+            session.get_bytes("/home/data/shrinks.dat")
+
+
+def test_small_get_reply_is_one_write(resource_env, identities, cas_identity, now, monkeypatch):
+    assertion = data_assertion(cas_identity, now)
+    with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
+        writes = []
+        send_frame, send_bytes = wire.Channel.send_frame, wire.Channel.send_bytes
+
+        def count_frame(channel, message):
+            writes.append(message["type"])
+            send_frame(channel, message)
+
+        def count_bytes(channel, data):
+            writes.append(len(data))
+            send_bytes(channel, data)
+
+        monkeypatch.setattr(wire.Channel, "send_frame", count_frame)
+        monkeypatch.setattr(wire.Channel, "send_bytes", count_bytes)
+        assert session.get_bytes("/home/data/run1.dat") == RUN1_BYTES
+        # The client's command frame, then the server's whole reply.
+        assert writes[0] == "command"
+        assert len(writes) == 2 and writes[1] > len(RUN1_BYTES)
+        monkeypatch.undo()
+        session.quit()
+
+
 def test_list_of_a_file(resource_env, identities, cas_identity, now):
     assertion = data_assertion(cas_identity, now)
     with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:

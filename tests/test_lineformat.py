@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import collections
+import random
+
 import pytest
+
+from vo_authz import file_server, lineformat, policy
 
 from vo_authz.engine import FilterFileError, parse_filter_file
 from vo_authz.file_server import (
@@ -17,6 +22,8 @@ from vo_authz.lineformat import (
     split_quoted_list,
 )
 from vo_authz.policy import CommandFileError, PolicyStore, apply_command_file
+
+from . import oracles
 
 
 @pytest.mark.parametrize(
@@ -46,6 +53,76 @@ def test_split_fields_unterminated_quote():
 def test_split_fields_text_abutting_quote():
     with pytest.raises(LineFormatError):
         split_fields('"a"b')
+
+
+# Every code point, surrogates included.
+ALL_CODE_POINTS = "".join(map(chr, range(0x110000)))
+
+
+def test_split_fields_cuts_at_exactly_the_isspace_code_points():
+    # Each code point but the two syntax characters, followed by "x".
+    line = "".join(c + "x" for c in ALL_CODE_POINTS if c not in '#"')
+    fields = split_fields(line)
+    assert fields == oracles.split_fields(line)
+    assert len(fields) == sum(c.isspace() for c in ALL_CODE_POINTS) + 1
+
+
+def test_character_classes_match_isspace_and_control_over_every_code_point():
+    def chars(predicate):
+        return [c for c in ALL_CODE_POINTS if predicate(c)]
+
+    assert lineformat._NEEDS_QUOTES.findall(ALL_CODE_POINTS) == chars(
+        lambda c: c.isspace() or c == "#"
+    )
+    assert policy._UNREPRESENTABLE_IN_TARGET.findall(ALL_CODE_POINTS) == chars(
+        lambda c: c.isspace() or c == '"'
+    )
+    assert policy._UNREPRESENTABLE_IN_DN.findall(ALL_CODE_POINTS) == chars(
+        lambda c: ord(c) < 0x20 or c == '"'
+    )
+    assert file_server._CONTROL_CHAR.findall(ALL_CODE_POINTS) == chars(lambda c: ord(c) < 0x20)
+    assert file_server._audit_field(ALL_CODE_POINTS) == "".join(
+        "?" if ord(c) < 0x20 else c for c in ALL_CODE_POINTS
+    )
+
+
+def test_validators_accept_every_code_point_but_their_excluded_ones():
+    printable = "".join(c for c in ALL_CODE_POINTS if ord(c) >= 0x20 and c != '"')
+    dn = "/CN=x" + printable + "x"
+    assert policy.validate_subject_dn(dn) == dn
+    file_server.canonical_path("/" + printable)
+    for c in map(chr, range(0x20)):
+        with pytest.raises(ValueError):
+            policy.validate_subject_dn("/CN=a%sb" % c)
+        with pytest.raises(file_server.PathError):
+            file_server.canonical_path("/a%sb" % c)
+
+
+# Quotes, comments, ASCII and Unicode whitespace (tab, NBSP, NEL, the
+# information separators U+001C-U+001F, em space, ideographic space),
+# ASCII and non-ASCII text.
+FIELD_ALPHABET = ['"', '"', "#", " ", " ", "\t", "\xa0", "\x85", "\x1c", "\x1f",
+                  "\u2003", "\u3000", "a", "b", "/", "=", "\u00e9", "\u4e2d", "\x01"]
+
+
+def outcome(split, line):
+    try:
+        return split(line)
+    except LineFormatError as exc:
+        return ("error", str(exc))
+
+
+def test_split_fields_agrees_with_the_character_scanner():
+    rng = random.Random(20031)
+    kinds = collections.Counter()
+    for _ in range(20000):
+        line = "".join(rng.choice(FIELD_ALPHABET) for _ in range(rng.randrange(24)))
+        expected = outcome(oracles.split_fields, line)
+        assert outcome(split_fields, line) == expected, repr(line)
+        kinds[expected[1] if isinstance(expected, tuple) else "fields"] += 1
+    # Good lines and both error kinds each occur often.
+    assert min(kinds.values()) > 1000, kinds
+    assert len(kinds) == 3, kinds
 
 
 def test_quote_field_round_trips_through_split():
