@@ -161,25 +161,26 @@ def _arity(values: list[str], count: int, usage: str) -> list[str]:
 
 
 def _cmd_run(args, directory: str) -> int:
+    if args.verb == "ls":
+        (remote_path,) = _arity(args.args, 1, "ls <remote-path>")
+    elif args.verb == "get":
+        remote_path, local = _arity(args.args, 2, "get <remote> <local>")
+    else:
+        local, remote_path = _arity(args.args, 2, "put <local> <remote>")
     bundle = load_session(directory)
     assertion = load_unexpired_tag(directory, args.tag)
     address = wire.parse_address(args.server)
-    remote_path = args.args[0] if args.verb == "ls" else (args.args[-1] if args.args else "?")
     try:
         with ResourceSession(address, bundle, assertion) as session:
             if args.verb == "ls":
-                (path,) = _arity(args.args, 1, "ls <remote-path>")
-                for name in session.ls(path):
+                for name in session.ls(remote_path):
                     print(name)
             elif args.verb == "get":
-                remote, local = _arity(args.args, 2, "get <remote> <local>")
-                remote_path = remote
-                _download(session, remote, local)
+                _download(session, remote_path, local)
             else:
-                local, remote = _arity(args.args, 2, "put <local> <remote>")
                 with open(local, "rb") as handle:
                     data = handle.read()
-                session.put(remote, data)
+                session.put(remote_path, data)
             session.quit()
     except ServiceError as exc:
         if args.server_name and exc.code == "cas-rights":

@@ -9,7 +9,6 @@ narrowed assertions side by side and pick per invocation.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import re
@@ -131,7 +130,7 @@ def load_session(directory: str, clock: Clock = utc_now) -> SessionBundle:
             raise MalformedCredential("not a session bundle")
         session = session_from_doc(doc["session"])
         private_key = private_key_from_pem(doc["private_key_pem"])
-    except (KeyError, TypeError, json.JSONDecodeError, CredentialError) as exc:
+    except (KeyError, TypeError, ValueError, CredentialError) as exc:
         raise ClientError("unreadable session file %s: %s" % (path, exc))
     if clock() >= session.not_after:
         raise ClientError(
@@ -174,7 +173,7 @@ def load_tag(directory: str, tag: str) -> Assertion:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
         return assertion_from_doc(doc["assertion"])
-    except (KeyError, TypeError, json.JSONDecodeError, CredentialError) as exc:
+    except (KeyError, TypeError, ValueError, CredentialError) as exc:
         raise ClientError("unreadable tag %r: %s" % (tag, exc))
 
 
@@ -331,11 +330,6 @@ class ResourceSession:
         size = header["size"]
         self._channel.recv_bytes_to(size, writer)
         return size
-
-    def get_bytes(self, path: str) -> bytes:
-        sink = io.BytesIO()
-        self.get(path, sink)
-        return sink.getvalue()
 
     def put(self, path: str, data: bytes) -> None:
         self._channel.send_frame(

@@ -83,8 +83,13 @@ def match_target(pattern: str, match_mode: MatchMode, target: str) -> bool:
 def check_right(
     rights: Iterable[RightsTuple], service_type: str, action: str, target: str
 ) -> Decision:
-    """First-match query: is <service_type, action, target> allowed?"""
-    for right in sort_rights(rights):
+    """First-match query: is <service_type, action, target> allowed?
+
+    ``rights`` must already be in canonical order (as
+    ``AssertionBody.rights`` is), so the first match is the canonical
+    one; they are checked in the order given.
+    """
+    for right in rights:
         if (
             right.service_type == service_type
             and right.action == action
@@ -130,20 +135,22 @@ def covers(granted: RightsTuple, requested: RightsTuple) -> bool:
 
 
 def filter_rights(
-    granted: Iterable[RightsTuple], requested: Iterable[RightsTuple]
+    granted: Sequence[RightsTuple], requested: Iterable[RightsTuple]
 ) -> tuple[RightsTuple, ...]:
     """Restrict an issuance to the requested rights.
 
-    An empty request means "all my rights". Otherwise every requested
-    tuple must be covered by some granted tuple; any uncovered tuple
-    fails the whole request (no partial result).
+    ``granted`` must already be canonical: sorted with no duplicates,
+    as ``PolicyStore.rights_of`` returns it. ``requested`` comes from
+    the client and is sorted here. An empty request means "all my
+    rights". Otherwise every requested tuple must be covered by some
+    granted tuple; any uncovered tuple fails the whole request (no
+    partial result).
     """
-    granted_set = sort_rights(granted)
     requested_set = sort_rights(requested)
     if not requested_set:
-        return granted_set
+        return tuple(granted)
     uncovered = [
-        req for req in requested_set if not any(covers(g, req) for g in granted_set)
+        req for req in requested_set if not any(covers(g, req) for g in granted)
     ]
     if uncovered:
         raise FilterDenied(uncovered)

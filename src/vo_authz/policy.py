@@ -8,18 +8,19 @@ groups are not special-cased anywhere in here: a role is simply an
 object of service type ``group`` that subjects hold the ``member``
 action on.
 
-Stores are immutable values; every mutation returns a new store, which
-gives bulk loads their atomicity for free and lets concurrent readers
-hold a consistent snapshot. Every write goes through one mutable
-working copy, so a command file of N commands builds one new store,
-not N.
+A store keeps its grants in one map, subject to rights in canonical
+order, so a lookup touches one subject. Stores are immutable values,
+and a command file is the only way to write one: its commands edit one
+private working copy, frozen into a new store once at the end. That
+gives a batch its atomicity for free, lets concurrent readers hold a
+consistent snapshot, and rebuilds only the subjects the batch names.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal, Mapping
+from typing import Iterable, Literal, Mapping
 
 from .lineformat import for_each_line, quote_field
 
@@ -149,93 +150,72 @@ class ServiceType:
 
 @dataclass(frozen=True)
 class PolicyStore:
-    """Immutable policy database value; mutations return a new store.
+    """Immutable policy database value; writes build a new store.
 
-    Construction derives two lookup indexes (a subject's rights in
-    canonical order, and each action's service type), so no lookup
-    touches the whole store.
+    ``rights`` is the only record of grants: it maps each subject that
+    holds at least one right to its rights in canonical sorted order.
+    Every write goes through :func:`apply_command_file`.
     """
 
     service_types: Mapping[str, ServiceType] = field(default_factory=dict)
     objects: frozenset[tuple[str, str]] = frozenset()
     subjects: frozenset[str] = frozenset()
-    grants: frozenset[tuple[str, RightsTuple]] = frozenset()
-    _rights: Mapping[str, tuple[RightsTuple, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    _action_types: Mapping[str, str] = field(init=False, repr=False, compare=False)
+    rights: Mapping[str, tuple[RightsTuple, ...]] = field(default_factory=dict)
 
-    def __post_init__(self):
-        by_subject: dict[str, list[RightsTuple]] = {}
-        for subject, right in self.grants:
-            by_subject.setdefault(subject, []).append(right)
-        rights = {subject: tuple(sorted(held)) for subject, held in by_subject.items()}
-        action_types = {
-            action: st.name for st in self.service_types.values() for action in st.actions
-        }
-        object.__setattr__(self, "_rights", rights)
-        object.__setattr__(self, "_action_types", action_types)
-
-    # -- single-command edits ---------------------------------------------
-
-    def register_service_type(self, service_type: ServiceType) -> "PolicyStore":
-        return self._edited(lambda b: b.register_service_type(service_type))
-
-    def register_subject(self, subject: str) -> "PolicyStore":
-        return self._edited(lambda b: b.register_subject(subject))
-
-    def register_object(self, service_type: str, target: str) -> "PolicyStore":
-        return self._edited(lambda b: b.register_object(service_type, target))
-
-    def grant(self, subject: str, right: RightsTuple) -> "PolicyStore":
-        return self._edited(lambda b: b.grant(subject, right))
-
-    def rescind(self, subject: str, right: RightsTuple) -> "PolicyStore":
-        return self._edited(lambda b: b.rescind(subject, right))
-
-    def _edited(self, edit: Callable[["_Builder"], None]) -> "PolicyStore":
-        builder = _Builder(self)
-        edit(builder)
-        return builder.freeze()
-
-    # -- lookups ----------------------------------------------------------
+    @property
+    def grants(self) -> frozenset[tuple[str, RightsTuple]]:
+        """Every (subject, right) pair, derived from ``rights``."""
+        return frozenset((s, r) for s, held in self.rights.items() for r in held)
 
     def rights_of(self, subject: str) -> list[RightsTuple]:
         """All rights granted to a subject, deterministically ordered."""
-        return list(self._rights.get(subject, ()))
-
-    def service_type_for_action(self, action: str) -> str:
-        return _service_type_for_action(self._action_types, action)
-
-
-def _service_type_for_action(action_types: Mapping[str, str], action: str) -> str:
-    try:
-        return action_types[action]
-    except KeyError:
-        raise UnregisteredError("no registered service type has action %r" % action) from None
+        return list(self.rights.get(subject, ()))
 
 
 class _Builder:
     """Mutable working copy of a store, holding every write rule.
 
-    It copies every container it takes from the store, so a failed edit
-    leaves the store untouched; :meth:`freeze` makes the new value.
+    It never writes to the store it copies, so a failed batch leaves
+    that store untouched. Only the subjects a batch grants to or
+    rescinds from get a mutable set, and :meth:`freeze` re-sorts those
+    alone; every other subject keeps its tuple.
     """
 
     def __init__(self, store: PolicyStore):
         self.service_types = dict(store.service_types)
-        self.action_types = dict(store._action_types)
+        self.action_types = {
+            action: st.name for st in self.service_types.values() for action in st.actions
+        }
         self.objects = set(store.objects)
         self.subjects = set(store.subjects)
-        self.grants = set(store.grants)
+        self.rights = dict(store.rights)
+        self.touched: dict[str, set[RightsTuple]] = {}
 
     def freeze(self) -> PolicyStore:
+        for subject, held in self.touched.items():
+            if held:
+                self.rights[subject] = tuple(sorted(held))
+            else:
+                self.rights.pop(subject, None)
         return PolicyStore(
             service_types=self.service_types,
             objects=frozenset(self.objects),
             subjects=frozenset(self.subjects),
-            grants=frozenset(self.grants),
+            rights=self.rights,
         )
+
+    def _held(self, subject: str) -> set[RightsTuple]:
+        held = self.touched.get(subject)
+        if held is None:
+            held = self.touched[subject] = set(self.rights.get(subject, ()))
+        return held
+
+    def right(self, action: str, target: str, match_mode: MatchMode) -> RightsTuple:
+        """The rights tuple a command line names by its action."""
+        service_type = self.action_types.get(action)
+        if service_type is None:
+            raise UnregisteredError("no registered service type has action %r" % action)
+        return RightsTuple(service_type, action, target, match_mode)
 
     def register_service_type(self, service_type: ServiceType) -> None:
         if service_type.name in self.service_types:
@@ -276,10 +256,10 @@ class _Builder:
                 "unregistered object %r of service type %r"
                 % (right.target, right.service_type)
             )
-        self.grants.add((subject, right))
+        self._held(subject).add(right)
 
     def rescind(self, subject: str, right: RightsTuple) -> None:
-        self.grants.discard((subject, right))
+        self._held(subject).discard(right)
 
 
 # -- command files ---------------------------------------------------------
@@ -341,12 +321,7 @@ def _apply_command(builder: _Builder, fields: list[str]) -> None:
         if len(fields) not in (4, 5):
             raise ValueError("%s takes <subject-dn> <action> <target> [exact|wildcard]" % verb)
         subject = validate_subject_dn(fields[1])
-        right = RightsTuple(
-            service_type=_service_type_for_action(builder.action_types, fields[2]),
-            action=fields[2],
-            target=fields[3],
-            match_mode=_parse_mode(fields),
-        )
+        right = builder.right(fields[2], fields[3], _parse_mode(fields))
         if verb == "grant":
             builder.grant(subject, right)
         else:
@@ -365,9 +340,9 @@ def save_snapshot(store: PolicyStore) -> bytes:
         lines.append("user %s" % quote_field(subject))
     for service_type, target in sorted(store.objects):
         lines.append("object %s %s" % (service_type, target))
-    for subject in sorted(store._rights):
+    for subject in sorted(store.rights):
         quoted = quote_field(subject)
-        for right in store._rights[subject]:
+        for right in store.rights[subject]:
             lines.append(
                 "grant %s %s %s %s" % (quoted, right.action, right.target, right.match_mode)
             )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import threading
 from datetime import datetime, timedelta, timezone
 
@@ -42,6 +43,13 @@ grant "%(orwell)s" member atlas/data
 """ % {"tull": TULL, "orwell": ORWELL}
 
 NOW = datetime(2003, 3, 19, 8, 30, 53, tzinfo=timezone.utc)
+
+
+def get_bytes(session, path: str) -> bytes:
+    """Download one file over a ``ResourceSession`` into memory."""
+    sink = io.BytesIO()
+    session.get(path, sink)
+    return sink.getvalue()
 
 
 @pytest.fixture

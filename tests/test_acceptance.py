@@ -58,6 +58,7 @@ from .conftest import (
     TULL,
     WELLS,
     ResourceEnv,
+    get_bytes,
     make_assertion,
 )
 
@@ -105,7 +106,7 @@ def test_criterion_1_role_lifecycle(cas_server, resource_env, identities):
     # A holds the role: issuance succeeds and the GET comes back whole.
     assertion_a = issue_assertion(cas_server.address, bundle_a, data_filter)
     with ResourceSession(resource_env.address, bundle_a, assertion_a) as session:
-        assert session.get_bytes("/home/data/run1.dat") == RUN1_BYTES
+        assert get_bytes(session, "/home/data/run1.dat") == RUN1_BYTES
         session.quit()
 
     applied = admin_load(
@@ -125,13 +126,13 @@ def test_criterion_1_role_lifecycle(cas_server, resource_env, identities):
     # A without any role is denied by the resource server.
     with ResourceSession(resource_env.address, bundle_a) as session:
         with pytest.raises(ServiceError) as denied:
-            session.get_bytes("/home/data/run1.dat")
+            get_bytes(session, "/home/data/run1.dat")
         assert denied.value.status == 403
 
     # B now holds the role and succeeds.
     assertion_b = issue_assertion(cas_server.address, bundle_b, data_filter)
     with ResourceSession(resource_env.address, bundle_b, assertion_b) as session:
-        assert session.get_bytes("/home/data/run1.dat") == RUN1_BYTES
+        assert get_bytes(session, "/home/data/run1.dat") == RUN1_BYTES
         session.quit()
 
     elapsed = time.monotonic() - started
@@ -155,7 +156,7 @@ def test_criterion_2_group_members_are_equal(cas_server, resource_env, identitie
             transcript = [
                 ("MAP", 200, session.account, session.via),
                 ("LIST", 200, tuple(session.ls("/home/data"))),
-                ("GET", 200, session.get_bytes("/home/data/run1.dat")),
+                ("GET", 200, get_bytes(session, "/home/data/run1.dat")),
             ]
             session.quit()
         transcripts.append(transcript)
@@ -235,7 +236,7 @@ def test_criterion_4_personal_fallback_and_truth_table(resource_env, identities,
         assert session.via == "personal"
         assert session.ls("/home/tull") == []
         with pytest.raises(ServiceError) as exc:
-            session.get_bytes("/home/data/run1.dat")
+            get_bytes(session, "/home/data/run1.dat")
         assert exc.value.code == "local-perms"
         session.quit()
 
@@ -370,9 +371,9 @@ def _tag_script(session: ResourceSession, home: str, other_home: str, stamp: str
             outcomes.append(("err", exc.status, exc.code))
 
     record(lambda: tuple(session.ls(home)))
-    record(lambda: session.get_bytes("%s/seed.dat" % home))
+    record(lambda: get_bytes(session, "%s/seed.dat" % home))
     record(lambda: session.put("%s/out-%s.dat" % (home, stamp), b"payload " + stamp.encode()))
-    record(lambda: session.get_bytes("%s/seed.dat" % other_home))
+    record(lambda: get_bytes(session, "%s/seed.dat" % other_home))
     return outcomes
 
 
@@ -422,9 +423,9 @@ def test_criterion_7_multi_tag_interleaving(tmp_path, trust_root, identities, ca
         interleaved = {"admin": [], "data": []}
         steps = [
             lambda s, tag: ("ok", tuple(s.ls(homes[tag]))),
-            lambda s, tag: ("ok", s.get_bytes("%s/seed.dat" % homes[tag])),
+            lambda s, tag: ("ok", get_bytes(s, "%s/seed.dat" % homes[tag])),
             lambda s, tag: ("ok", s.put("%s/out-%s.dat" % (homes[tag], tag), b"payload " + tag.encode())),
-            lambda s, tag: ("ok", s.get_bytes("%s/seed.dat" % other[tag])),
+            lambda s, tag: ("ok", get_bytes(s, "%s/seed.dat" % other[tag])),
         ]
         for step in steps:
             for tag in ("admin", "data"):

@@ -207,6 +207,20 @@ def test_unreadable_tag_skipped_in_listing(tag_world):
     assert [i.tag for i in list_tags(home.dir)] == ["data"]
 
 
+def test_non_utf8_tag_and_session_files_are_client_errors(tag_world):
+    home = tag_world.home
+    identity_init(home.dir)
+    store_tag(home.dir, "data", tag_world.assertion())
+    for name in ("tags/garbage.json", "session.json"):
+        with open(os.path.join(home.dir, name), "wb") as handle:
+            handle.write(b'{"kind": "\xff\xfe"}')
+    with pytest.raises(ClientError):
+        load_tag(home.dir, "garbage")
+    assert [i.tag for i in list_tags(home.dir)] == ["data"]
+    with pytest.raises(ClientError):
+        load_session(home.dir)
+
+
 # -- the vo command end to end -------------------------------------------------------
 
 
@@ -378,6 +392,13 @@ def test_run_arity_errors(world, tmp_path, capsys):
     data_tag(world, tmp_path, capsys)
     assert cli.main(["run", "data", "get", "/only-remote", "--server", world.files_address]) == 1
     assert "usage: get <remote> <local>" in capsys.readouterr().err
+
+
+def test_run_ls_without_a_path_is_a_usage_error(world, tmp_path, capsys):
+    cli.main(["identity-init"])
+    data_tag(world, tmp_path, capsys)
+    assert cli.main(["run", "data", "ls", "--server", world.files_address]) == 1
+    assert "usage: ls <remote-path>" in capsys.readouterr().err
 
 
 def test_failed_get_leaves_no_local_file(world, tmp_path, capsys):

@@ -43,6 +43,7 @@ from .conftest import (
     SERVER_NAME,
     TULL,
     WELLS,
+    get_bytes,
     make_assertion,
 )
 
@@ -421,9 +422,9 @@ def test_role_session_round_trip(resource_env, identities, cas_identity, now):
         assert session.account == "data"
         assert session.via == "role:atlas/data"
         assert session.ls("/home/data") == ["run1.dat"]
-        assert session.get_bytes("/home/data/run1.dat") == RUN1_BYTES
+        assert get_bytes(session, "/home/data/run1.dat") == RUN1_BYTES
         session.put("/home/data/new.dat", b"fresh payload")
-        assert session.get_bytes("/home/data/new.dat") == b"fresh payload"
+        assert get_bytes(session, "/home/data/new.dat") == b"fresh payload"
         assert session.ls("/home/data") == ["new.dat", "run1.dat"]
         session.quit()
 
@@ -438,7 +439,7 @@ def test_small_gets_and_puts_do_not_wait_for_delayed_acks(
     with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
         for i in range(5):
             start = time.perf_counter()
-            assert session.get_bytes("/home/data/run1.dat") == RUN1_BYTES
+            assert get_bytes(session, "/home/data/run1.dat") == RUN1_BYTES
             gets.append(time.perf_counter() - start)
             start = time.perf_counter()
             session.put("/home/data/quick-%d.dat" % i, b"x" * 512)
@@ -474,7 +475,7 @@ def test_put_never_overwrites(resource_env, identities, cas_identity, now):
         assert exc.value.status == 409
         assert exc.value.code == "exists"
         # The refused payload was drained: the session still works.
-        assert session.get_bytes("/home/data/run1.dat") == RUN1_BYTES
+        assert get_bytes(session, "/home/data/run1.dat") == RUN1_BYTES
     on_disk = os.path.join(resource_env.export_root, "home/data/run1.dat")
     with open(on_disk, "rb") as handle:
         assert handle.read() == RUN1_BYTES
@@ -494,7 +495,7 @@ def test_get_missing_file(resource_env, identities, cas_identity, now):
     assertion = data_assertion(cas_identity, now)
     with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
         with pytest.raises(ServiceError) as exc:
-            session.get_bytes("/home/data/absent.dat")
+            get_bytes(session, "/home/data/absent.dat")
         assert exc.value.status == 404
         assert exc.value.code == "not-found"
 
@@ -506,7 +507,7 @@ def test_get_of_a_non_regular_file_is_not_found(resource_env, identities, cas_id
     with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
         for path in ("/home/data/pipe", "/home/data"):
             with pytest.raises(ServiceError) as exc:
-                session.get_bytes(path)
+                get_bytes(session, path)
             assert (exc.value.status, exc.value.code) == (404, "not-found")
         session.quit()
 
@@ -541,7 +542,7 @@ def test_get_sends_the_declared_size_of_a_growing_file(
         handle.write(content)
     assertion = data_assertion(cas_identity, now)
     with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
-        assert session.get_bytes("/home/data/grows.dat") == content
+        assert get_bytes(session, "/home/data/grows.dat") == content
         assert session.ls("/home/data") == ["grows.dat", "run1.dat"]
         session.quit()
     assert os.path.getsize(path) > size
@@ -559,7 +560,7 @@ def test_get_of_a_shrinking_file_ends_the_session(
     assertion = data_assertion(cas_identity, now)
     with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
         with pytest.raises(wire.ConnectionClosedError):
-            session.get_bytes("/home/data/shrinks.dat")
+            get_bytes(session, "/home/data/shrinks.dat")
 
 
 def test_small_get_reply_is_one_write(resource_env, identities, cas_identity, now, monkeypatch):
@@ -578,7 +579,7 @@ def test_small_get_reply_is_one_write(resource_env, identities, cas_identity, no
 
         monkeypatch.setattr(wire.Channel, "send_frame", count_frame)
         monkeypatch.setattr(wire.Channel, "send_bytes", count_bytes)
-        assert session.get_bytes("/home/data/run1.dat") == RUN1_BYTES
+        assert get_bytes(session, "/home/data/run1.dat") == RUN1_BYTES
         # The client's command frame, then the server's whole reply.
         assert writes[0] == "command"
         assert len(writes) == 2 and writes[1] > len(RUN1_BYTES)
@@ -597,7 +598,7 @@ def test_list_of_a_file(resource_env, identities, cas_identity, now):
 def test_public_reads_allowed_writes_denied(resource_env, identities, cas_identity, now):
     assertion = data_assertion(cas_identity, now)
     with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
-        assert session.get_bytes("/public/readme.txt") == README_BYTES
+        assert get_bytes(session, "/public/readme.txt") == README_BYTES
         with pytest.raises(ServiceError) as exc:
             session.put("/public/notes.txt", b"graffiti")
         assert exc.value.status == 403
@@ -608,7 +609,7 @@ def test_other_home_denied(resource_env, identities, cas_identity, now):
     assertion = data_assertion(cas_identity, now)
     with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
         with pytest.raises(ServiceError) as exc:
-            session.get_bytes("/home/admin/calib.db")
+            get_bytes(session, "/home/admin/calib.db")
         assert exc.value.status == 403
         assert exc.value.code == "local-perms"
 
@@ -617,7 +618,7 @@ def test_admin_role_reaches_admin_home(resource_env, identities, cas_identity, n
     assertion = data_assertion(cas_identity, now, subject=TULL, rights=(ADMIN_ROLE, DATA_ROLE))
     with ResourceSession(resource_env.address, identities.bundle(TULL), assertion) as session:
         assert session.account == "admin"
-        assert session.get_bytes("/home/admin/calib.db") == CALIB_BYTES
+        assert get_bytes(session, "/home/admin/calib.db") == CALIB_BYTES
 
 
 def test_personal_session_without_assertion(resource_env, identities):
@@ -625,7 +626,7 @@ def test_personal_session_without_assertion(resource_env, identities):
         assert session.account is None  # mapping happens lazily
         assert session.ls("/home/tull") == []
         session.put("/home/tull/mine.txt", b"private bytes")
-        assert session.get_bytes("/home/tull/mine.txt") == b"private bytes"
+        assert get_bytes(session, "/home/tull/mine.txt") == b"private bytes"
         with pytest.raises(ServiceError) as exc:
             session.ls("/home/data")
         assert exc.value.code == "local-perms"
@@ -700,10 +701,10 @@ def test_file_rights_constrain_a_session(resource_env, identities, cas_identity,
     )
     assertion = data_assertion(cas_identity, now, rights=(DATA_ROLE, narrow))
     with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
-        assert session.get_bytes("/home/data/run1.dat") == RUN1_BYTES
+        assert get_bytes(session, "/home/data/run1.dat") == RUN1_BYTES
         # Locally public, but not covered by the file rights.
         with pytest.raises(ServiceError) as exc:
-            session.get_bytes("/public/readme.txt")
+            get_bytes(session, "/public/readme.txt")
         assert exc.value.code == "cas-rights"
         with pytest.raises(ServiceError) as exc:
             session.put("/home/data/out.dat", b"x")
@@ -715,9 +716,9 @@ def test_audit_covers_commands_and_only_commands(resource_env, identities, cas_i
     assertion = data_assertion(cas_identity, now)
     with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
         session.ls("/home/data")
-        session.get_bytes("/home/data/run1.dat")
+        get_bytes(session, "/home/data/run1.dat")
         with pytest.raises(ServiceError):
-            session.get_bytes("/home/admin/calib.db")
+            get_bytes(session, "/home/admin/calib.db")
         session.put("/home/data/audited.dat", b"x")
         session.quit()  # not audited
 

@@ -30,12 +30,28 @@ def admin_right():
     return RightsTuple("group", "member", "atlas/admin")
 
 
-def base_store() -> PolicyStore:
-    store = PolicyStore()
-    store = store.register_service_type(ServiceType("group", frozenset({"member"})))
-    store = store.register_object("group", "atlas/admin")
-    store = store.register_subject(TULL)
+def run(store: PolicyStore, *lines: str) -> PolicyStore:
+    """Apply ``lines`` as one command file, which must succeed."""
+    store, applied = apply_command_file(store, "".join(line + "\n" for line in lines))
+    assert applied == len(lines)
     return store
+
+
+def rule_error(store: PolicyStore, *lines: str) -> Exception:
+    """The rule error that fails ``lines`` as one command file."""
+    with pytest.raises(CommandFileError) as exc:
+        apply_command_file(store, "".join(line + "\n" for line in lines))
+    return exc.value.__cause__
+
+
+def right_line(verb: str, subject: str, right: RightsTuple) -> str:
+    return '%s "%s" %s %s %s' % (verb, subject, right.action, right.target, right.match_mode)
+
+
+def base_store() -> PolicyStore:
+    return run(
+        PolicyStore(), "servicetype group member", "object group atlas/admin", 'user "%s"' % TULL
+    )
 
 
 # -- rights tuples -----------------------------------------------------------
@@ -114,79 +130,67 @@ def test_validate_role_name_rejects(name):
 
 
 def test_grant_requires_registered_subject():
-    store = PolicyStore().register_service_type(
-        ServiceType("group", frozenset({"member"}))
-    )
-    store = store.register_object("group", "atlas/admin")
-    with pytest.raises(UnregisteredError):
-        store.grant(TULL, admin_right())
+    store = run(PolicyStore(), "servicetype group member", "object group atlas/admin")
+    error = rule_error(store, right_line("grant", TULL, admin_right()))
+    assert isinstance(error, UnregisteredError)
 
 
 def test_grant_requires_registered_object_for_exact():
-    store = PolicyStore().register_service_type(
-        ServiceType("group", frozenset({"member"}))
-    )
-    store = store.register_subject(TULL)
-    with pytest.raises(UnregisteredError):
-        store.grant(TULL, admin_right())
+    store = run(PolicyStore(), "servicetype group member", 'user "%s"' % TULL)
+    error = rule_error(store, right_line("grant", TULL, admin_right()))
+    assert isinstance(error, UnregisteredError)
 
 
 def test_wildcard_grant_needs_no_object():
-    store = PolicyStore().register_service_type(
-        ServiceType("file", frozenset({"read", "write"}))
-    )
-    store = store.register_subject(TULL)
+    store = run(PolicyStore(), "servicetype file read,write", 'user "%s"' % TULL)
     right = RightsTuple("file", "read", "ftp://h/*", WILDCARD)
-    assert store.grant(TULL, right).rights_of(TULL) == [right]
+    assert run(store, right_line("grant", TULL, right)).rights_of(TULL) == [right]
 
 
 def test_grant_requires_registered_action():
-    store = base_store()
-    with pytest.raises(UnregisteredError):
-        store.grant(TULL, RightsTuple("group", "admin", "atlas/admin"))
+    error = rule_error(base_store(), 'grant "%s" admin atlas/admin' % TULL)
+    assert isinstance(error, UnregisteredError)
 
 
 def test_grant_is_idempotent():
-    store = base_store().grant(TULL, admin_right())
-    assert store.grant(TULL, admin_right()) == store
+    store = run(base_store(), right_line("grant", TULL, admin_right()))
+    assert run(store, right_line("grant", TULL, admin_right())) == store
 
 
 def test_rescind_removes_only_that_grant():
     other = RightsTuple("group", "member", "atlas/data")
-    store = base_store().register_object("group", "atlas/data")
-    store = store.grant(TULL, admin_right()).grant(TULL, other)
-    store = store.rescind(TULL, admin_right())
+    store = run(base_store(), "object group atlas/data")
+    store = run(store, right_line("grant", TULL, admin_right()), right_line("grant", TULL, other))
+    store = run(store, right_line("rescind", TULL, admin_right()))
     assert store.rights_of(TULL) == [other]
 
 
 def test_rescind_of_absent_grant_is_noop():
     store = base_store()
-    assert store.rescind(TULL, admin_right()) == store
+    assert run(store, right_line("rescind", TULL, admin_right())) == store
 
 
 def test_mutations_leave_original_store_untouched():
     store = base_store()
-    store.grant(TULL, admin_right())
+    run(store, right_line("grant", TULL, admin_right()))
     assert store.rights_of(TULL) == []
 
 
 def test_duplicate_service_type_rejected():
-    store = base_store()
-    with pytest.raises(PolicyError):
-        store.register_service_type(ServiceType("group", frozenset({"join"})))
+    error = rule_error(base_store(), "servicetype group join")
+    assert isinstance(error, PolicyError)
 
 
 def test_action_must_be_unambiguous_across_service_types():
     # Grant lines name only the action, so a second service type may not
     # reuse one.
-    store = base_store()
-    with pytest.raises(PolicyError):
-        store.register_service_type(ServiceType("club", frozenset({"member"})))
+    error = rule_error(base_store(), "servicetype club member")
+    assert isinstance(error, PolicyError)
 
 
 def test_object_requires_known_service_type():
-    with pytest.raises(UnregisteredError):
-        PolicyStore().register_object("group", "atlas/admin")
+    error = rule_error(PolicyStore(), "object group atlas/admin")
+    assert isinstance(error, UnregisteredError)
 
 
 # -- randomized grant/rescind against the set model --------------------------
@@ -201,15 +205,14 @@ def test_grant_rescind_matches_set_model():
         ("file", "read", "ftp://h/*", WILDCARD),
         ("file", "write", "ftp://h/data/*", WILDCARD),
     ]
-    store = PolicyStore()
-    store = store.register_service_type(ServiceType("group", frozenset({"member"})))
-    store = store.register_service_type(
-        ServiceType("file", frozenset({"read", "write"}))
+    store = run(
+        PolicyStore(),
+        "servicetype group member",
+        "servicetype file read,write",
+        "object group atlas/admin",
+        "object group atlas/data",
+        *('user "%s"' % s for s in subjects),
     )
-    store = store.register_object("group", "atlas/admin")
-    store = store.register_object("group", "atlas/data")
-    for s in subjects:
-        store = store.register_subject(s)
 
     model = GrantModel()
     for _ in range(500):
@@ -217,10 +220,10 @@ def test_grant_rescind_matches_set_model():
         tup = rng.choice(tuples)
         right = RightsTuple(*tup)
         if rng.random() < 0.5:
-            store = store.grant(subject, right)
+            store = run(store, right_line("grant", subject, right))
             model.grant(subject, tup)
         else:
-            store = store.rescind(subject, right)
+            store = run(store, right_line("rescind", subject, right))
             model.rescind(subject, tup)
         for s in subjects:
             got = [
@@ -349,20 +352,17 @@ def test_non_utf8_snapshot_errors():
 
 
 def test_snapshot_preserves_wildcard_grants():
-    store = PolicyStore().register_service_type(
-        ServiceType("file", frozenset({"read"}))
-    )
-    store = store.register_subject(TULL)
     right = RightsTuple("file", "read", "ftp://h/*", WILDCARD)
-    store = store.grant(TULL, right)
+    store = run(
+        PolicyStore(), "servicetype file read", 'user "%s"' % TULL, right_line("grant", TULL, right)
+    )
     assert load_snapshot(save_snapshot(store)).rights_of(TULL) == [right]
 
 
-# -- indexes against the model ---------------------------------------------------
+# -- the store against the model -------------------------------------------------
 #
 # Each action belongs to one service type, and each (action, target, mode)
 # below is one rights tuple the random edits draw from.
-ACTION_TYPES = {"member": "group", "read": "file", "write": "file"}
 SERVICE_TYPES = {"group": "member", "file": "read,write"}
 RANDOM_TUPLES = [
     ("group", "member", "atlas/admin", EXACT),
@@ -390,11 +390,11 @@ class StoreModel:
         other.grants.pairs = set(self.grants.pairs)
         return other
 
-    def apply(self, op: tuple, as_line: bool) -> bool:
-        """Apply one edit; return False, changing nothing, if it must fail.
+    def apply(self, op: tuple) -> bool:
+        """Apply one command line; return False, changing nothing, if it must fail.
 
-        A command line names only the action, so a rescind line fails on
-        an unregistered action; ``PolicyStore.rescind`` takes the tuple.
+        A grant or rescind line names only the action, so either fails
+        while the action's service type is unregistered.
         """
         verb, *args = op
         if verb == "servicetype":
@@ -409,19 +409,31 @@ class StoreModel:
             self.objects.add(tuple(args))
         else:
             subject, tup = args
-            if verb == "rescind":
-                if as_line and tup[0] not in self.types:
-                    return False
-                self.grants.rescind(subject, tup)
-                return True
             if tup[0] not in self.types:
                 return False
+            if verb == "rescind":
+                self.grants.rescind(subject, tup)
+                return True
             if subject not in self.subjects:
                 return False
             if tup[3] == EXACT and (tup[0], tup[2]) not in self.objects:
                 return False
             self.grants.grant(subject, tup)
         return True
+
+    def store(self) -> PolicyStore:
+        """The store this model describes, built without a command file."""
+        held = {subject for subject, _ in self.grants.pairs}
+        return PolicyStore(
+            service_types={
+                t: ServiceType(t, frozenset(SERVICE_TYPES[t].split(","))) for t in self.types
+            },
+            objects=frozenset(self.objects),
+            subjects=frozenset(self.subjects),
+            rights={
+                s: tuple(RightsTuple(*t) for t in self.grants.rights_of(s)) for s in held
+            },
+        )
 
 
 def random_op(rng: random.Random) -> tuple:
@@ -443,23 +455,8 @@ def op_line(op: tuple) -> str:
         return 'user "%s"' % args[0]
     if verb == "object":
         return "object %s %s" % tuple(args)
-    subject, (_, action, target, mode) = args
-    return '%s "%s" %s %s %s' % (verb, subject, action, target, mode)
-
-
-def apply_op(store: PolicyStore, op: tuple) -> PolicyStore:
-    verb, *args = op
-    if verb == "servicetype":
-        actions = frozenset(SERVICE_TYPES[args[0]].split(","))
-        return store.register_service_type(ServiceType(args[0], actions))
-    if verb == "user":
-        return store.register_subject(args[0])
-    if verb == "object":
-        return store.register_object(*args)
     subject, tup = args
-    if verb == "grant":
-        return store.grant(subject, RightsTuple(*tup))
-    return store.rescind(subject, RightsTuple(*tup))
+    return right_line(verb, subject, RightsTuple(*tup))
 
 
 def assert_matches_model(store: PolicyStore, model: StoreModel) -> None:
@@ -467,14 +464,7 @@ def assert_matches_model(store: PolicyStore, model: StoreModel) -> None:
         got = [(r.service_type, r.action, r.target, r.match_mode) for r in store.rights_of(subject)]
         assert got == model.grants.rights_of(subject)
     assert len(store.grants) == len(model.grants.pairs)
-    assert store.subjects == model.subjects
-    assert store.objects == model.objects
-    for action, service_type in ACTION_TYPES.items():
-        if service_type in model.types:
-            assert store.service_type_for_action(action) == service_type
-        else:
-            with pytest.raises(UnregisteredError):
-                store.service_type_for_action(action)
+    assert store == model.store()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -482,50 +472,65 @@ def test_random_edits_and_command_files_agree_with_model(seed):
     rng = random.Random(seed)
     store, model = PolicyStore(), StoreModel()
     for _ in range(150):
-        if rng.random() < 0.5:
-            op = random_op(rng)
-            if model.apply(op, as_line=False):
-                store = apply_op(store, op)
-            else:
-                with pytest.raises(PolicyError):
-                    apply_op(store, op)
+        ops = [random_op(rng) for _ in range(rng.randint(1, 8))]
+        trial, bad_line = model.copy(), None
+        for lineno, op in enumerate(ops, start=1):
+            if not trial.apply(op):
+                bad_line = lineno
+                break
+        text = "".join(op_line(op) + "\n" for op in ops)
+        if bad_line is None:
+            store, applied = apply_command_file(store, text)
+            assert applied == len(ops)
+            model = trial
         else:
-            ops = [random_op(rng) for _ in range(rng.randint(1, 8))]
-            trial, bad_line = model.copy(), None
-            for lineno, op in enumerate(ops, start=1):
-                if not trial.apply(op, as_line=True):
-                    bad_line = lineno
-                    break
-            text = "".join(op_line(op) + "\n" for op in ops)
-            if bad_line is None:
-                store, applied = apply_command_file(store, text)
-                assert applied == len(ops)
-                model = trial
-            else:
-                with pytest.raises(CommandFileError) as exc:
-                    apply_command_file(store, text)
-                assert exc.value.line == bad_line
+            with pytest.raises(CommandFileError) as exc:
+                apply_command_file(store, text)
+            assert exc.value.line == bad_line
         assert_matches_model(store, model)
 
 
-def test_single_edits_and_one_command_file_build_equal_stores():
-    rng = random.Random(7)
-    ops, model = [], StoreModel()
-    while len(ops) < 200:
-        op = random_op(rng)
-        if model.apply(op, as_line=True):
-            ops.append(op)
-    by_edits = PolicyStore()
-    for op in ops:
-        by_edits = apply_op(by_edits, op)
-    by_file, applied = apply_command_file(
-        PolicyStore(), "".join(op_line(op) + "\n" for op in ops)
-    )
-    assert applied == len(ops)
-    assert by_file == by_edits
-    for subject in RANDOM_SUBJECTS:
-        assert by_file.rights_of(subject) == by_edits.rights_of(subject)
-    assert save_snapshot(by_file) == save_snapshot(by_edits)
+@pytest.mark.parametrize("seed", range(4))
+def test_batches_rebuild_only_the_subjects_they_name(seed):
+    rng = random.Random(seed)
+    setup = [("servicetype", t) for t in SERVICE_TYPES]
+    setup += [("object",) + o for o in RANDOM_OBJECTS]
+    setup += [("user", s) for s in RANDOM_SUBJECTS]
+    model = StoreModel()
+    for op in setup:
+        assert model.apply(op)
+    store = run(PolicyStore(), *map(op_line, setup))
+    emptied = 0
+    for _ in range(120):
+        ops = [
+            (verb, rng.choice(RANDOM_SUBJECTS), rng.choice(RANDOM_TUPLES))
+            for verb in rng.choices(["grant", "grant", "rescind"], k=rng.randint(0, 3))
+        ]
+        held = sorted({s for s, _ in model.grants.pairs})
+        if held and rng.random() < 0.3:
+            # Rescind every right one subject holds.
+            subject = rng.choice(held)
+            ops += [("rescind", subject, t) for t in model.grants.rights_of(subject)]
+            emptied += 1
+        text = "".join(op_line(op) + "\n" for op in ops)
+
+        old, old_rights = store, dict(store.rights)
+        with pytest.raises(CommandFileError):
+            apply_command_file(old, text + "bogus verb\n")
+        assert old.rights == old_rights
+
+        for op in ops:
+            assert model.apply(op)
+        store = run(old, *map(op_line, ops))
+        assert old.rights == old_rights
+        named = {op[1] for op in ops}
+        for subject, rights in old.rights.items():
+            if subject not in named:
+                assert store.rights[subject] is rights
+        assert_matches_model(store, model)
+        assert all(store.rights.values())
+        assert load_snapshot(save_snapshot(store)) == store
+    assert emptied > 10
 
 
 def test_failed_command_file_leaves_indexes_and_service_types_untouched(demo_store):
@@ -544,8 +549,8 @@ def test_failed_command_file_leaves_indexes_and_service_types_untouched(demo_sto
     assert exc.value.line == 6
     assert dict(demo_store.service_types) == before_types
     assert "file" not in demo_store.service_types
-    with pytest.raises(UnregisteredError):
-        demo_store.service_type_for_action("read")
+    error = rule_error(demo_store, 'rescind "%s" read ftp://h/* wildcard' % TULL)
+    assert isinstance(error, UnregisteredError)
     assert {s: demo_store.rights_of(s) for s in (TULL, ORWELL)} == before_rights
     assert demo_store.rights_of("/O=x/CN=New") == []
     assert "/O=x/CN=New" not in demo_store.subjects
@@ -574,21 +579,19 @@ def reference_snapshot(store: PolicyStore) -> bytes:
 
 
 def random_store(rng: random.Random) -> PolicyStore:
-    store = PolicyStore()
-    store = store.register_service_type(ServiceType("group", frozenset({"member"})))
-    store = store.register_service_type(ServiceType("file", frozenset({"read", "write"})))
     roles = ["vo%d/role-%d" % (rng.randrange(3), i) for i in range(12)]
     subjects = ["/O=vo/OU=People/CN=Member %d" % rng.randrange(10**6) for _ in range(40)]
-    commands = ["object group %s" % role for role in roles]
+    commands = ["servicetype group member", "servicetype file read,write"]
+    commands += ["object group %s" % role for role in roles]
     commands += ['user "%s"' % s for s in subjects]
+    grants = []
     for subject in subjects:
         for role in rng.sample(roles, rng.randint(0, 4)):
-            commands.append('grant "%s" member %s' % (subject, role))
+            grants.append('grant "%s" member %s' % (subject, role))
         for action in rng.sample(["read", "write"], rng.randint(0, 2)):
-            commands.append('grant "%s" %s ftp://fs/%d/* wildcard' % (subject, action, rng.randrange(3)))
-    rng.shuffle(commands[len(roles) + len(subjects):])
-    store, _ = apply_command_file(store, "\n".join(commands) + "\n")
-    return store
+            grants.append('grant "%s" %s ftp://fs/%d/* wildcard' % (subject, action, rng.randrange(3)))
+    rng.shuffle(grants)
+    return run(PolicyStore(), *commands, *grants)
 
 
 def test_snapshot_bytes_match_the_whole_store_sort(demo_store):
