@@ -276,12 +276,11 @@ def main(argv=None) -> int:
         prog="vo-cas-server", description="VO rights issuance service"
     )
     parser.add_argument("--config", required=True, help="key=value config file")
-    parser.add_argument("--listen", help="addr:port, overrides the config file")
     args = parser.parse_args(argv)
 
     try:
         config = load_cas_config(args.config)
-        address = wire.parse_address(args.listen or config.listen)
+        address = wire.parse_address(config.listen)
         service = service_from_config(config)
         server = CasServer(address, service)
     except (ValueError, OSError, CredentialError, CommandFileError) as exc:

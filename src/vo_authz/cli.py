@@ -6,6 +6,11 @@ narrowed by a filter file) and stores it under the tag, ``vo run <tag>
 <ls|get|put> ...`` executes one file command under that tag, and
 ``vo tags`` lists what is stored. ``vo admin-load`` pushes a policy
 command file to the issuance service for administrators.
+
+A refused file command prints the service's status, code and message
+and exits 1. The file service has already audited the refusal under
+the acting DN; a ``cas-rights`` refusal names the URL that the
+assertion's file rights were checked against.
 """
 
 from __future__ import annotations
@@ -45,10 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--dir", help="credential directory (default $VO_AUTHZ_DIR or ~/.vo-authz)"
-    )
-    parser.add_argument(
-        "--server-name",
-        help="resource host name; lets denials show the URL the rights were checked against",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -169,26 +170,17 @@ def _cmd_run(args, directory: str) -> int:
         local, remote_path = _arity(args.args, 2, "put <local> <remote>")
     bundle = load_session(directory)
     assertion = load_unexpired_tag(directory, args.tag)
-    address = wire.parse_address(args.server)
-    try:
-        with ResourceSession(address, bundle, assertion) as session:
-            if args.verb == "ls":
-                for name in session.ls(remote_path):
-                    print(name)
-            elif args.verb == "get":
-                _download(session, remote_path, local)
-            else:
-                with open(local, "rb") as handle:
-                    data = handle.read()
-                session.put(remote_path, data)
-            session.quit()
-    except ServiceError as exc:
-        if args.server_name and exc.code == "cas-rights":
-            print(
-                "checked url: ftp://%s%s" % (args.server_name, remote_path),
-                file=sys.stderr,
-            )
-        raise
+    with ResourceSession(wire.parse_address(args.server), bundle, assertion) as session:
+        if args.verb == "ls":
+            for name in session.ls(remote_path):
+                print(name)
+        elif args.verb == "get":
+            _download(session, remote_path, local)
+        else:
+            with open(local, "rb") as handle:
+                data = handle.read()
+            session.put(remote_path, data)
+        session.quit()
     return 0
 
 

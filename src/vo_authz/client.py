@@ -326,8 +326,11 @@ class ResourceSession:
         """Download into ``writer.write``; returns the byte count."""
         self._channel.send_frame({"type": "command", "op": "GET", "path": path})
         _raise_for_status(_expect_frame(self._channel, "response"))
-        header = _expect_frame(self._channel, "data_header")
-        size = header["size"]
+        size = _expect_frame(self._channel, "data_header").get("size")
+        if not wire.is_size(size):
+            raise ServiceError(
+                500, "protocol-error", "data_header needs a non-negative integer size"
+            )
         self._channel.recv_bytes_to(size, writer)
         return size
 

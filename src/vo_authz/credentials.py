@@ -38,7 +38,7 @@ from . import wire
 from .policy import RightsTuple, sort_rights, validate_subject_dn
 
 AUTH_CONTEXT = b"vo-authz-auth-v1"
-DEFAULT_CLOCK_SKEW_SECONDS = 300
+CLOCK_SKEW = timedelta(seconds=300)  # how early a validity window may be entered
 DEFAULT_LIFETIME_SECONDS = 43200  # 12 hours, for sessions and assertions alike
 
 _SERIAL_RE = re.compile(r"[0-9a-f]{32}\Z")
@@ -48,6 +48,8 @@ _TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z\Z")
 class CredentialError(Exception):
     """Base class for credential and assertion failures."""
 
+    code = "bad-assertion"  # what a service answers and audits
+
 
 class MalformedCredential(CredentialError):
     """A serialized credential or assertion did not parse."""
@@ -56,17 +58,25 @@ class MalformedCredential(CredentialError):
 class UntrustedIssuer(CredentialError):
     """The assertion's issuer is not in the trust set."""
 
+    code = "untrusted-issuer"
+
 
 class BadSignature(CredentialError):
     """A signature did not verify."""
+
+    code = "bad-signature"
 
 
 class NotYetValid(CredentialError):
     """The validity window has not opened (beyond clock skew)."""
 
+    code = "not-yet-valid"
+
 
 class Expired(CredentialError):
     """The validity window has closed."""
+
+    code = "expired"
 
 
 class HandshakeError(CredentialError):
@@ -322,22 +332,19 @@ def delegate_session(
     )
 
 
-def verify_identity(credential: IdentityCredential, trust_root: bytes, now: datetime,
-                    skew_seconds: int = DEFAULT_CLOCK_SKEW_SECONDS) -> None:
+def verify_identity(credential: IdentityCredential, trust_root: bytes, now: datetime) -> None:
     """Check an identity credential against the trust root at time ``now``."""
     if not _verify(trust_root, credential.signature, credential.signed_payload()):
         raise BadSignature("identity credential signature does not verify")
-    skew = timedelta(seconds=skew_seconds)
-    if now < credential.not_before - skew:
+    if now < credential.not_before - CLOCK_SKEW:
         raise NotYetValid("identity not valid before %s" % format_timestamp(credential.not_before))
     if now >= credential.not_after:
         raise Expired("identity expired at %s" % format_timestamp(credential.not_after))
 
 
-def verify_session_chain(session: SessionCredential, trust_root: bytes, now: datetime,
-                         skew_seconds: int = DEFAULT_CLOCK_SKEW_SECONDS) -> None:
+def verify_session_chain(session: SessionCredential, trust_root: bytes, now: datetime) -> None:
     """Check the identity-to-session chain down from the trust root."""
-    verify_identity(session.identity, trust_root, now, skew_seconds)
+    verify_identity(session.identity, trust_root, now)
     if not _verify(session.identity.public_key, session.delegation_signature, session.signed_payload()):
         raise BadSignature("session delegation signature does not verify")
     if now >= session.not_after:
@@ -433,7 +440,6 @@ def verify_assertion(
     assertion: Assertion,
     trusted_issuers: Mapping[str, bytes],
     now: datetime,
-    skew_seconds: int = DEFAULT_CLOCK_SKEW_SECONDS,
 ) -> VerifiedRights:
     """Verify issuer trust, signature, and validity window.
 
@@ -446,7 +452,7 @@ def verify_assertion(
         raise UntrustedIssuer("issuer %r is not trusted" % body.issuer)
     if not _verify(issuer_key, assertion.signature, canonical_bytes(body)):
         raise BadSignature("assertion signature does not verify")
-    if now < body.issued_at - timedelta(seconds=skew_seconds):
+    if now < body.issued_at - CLOCK_SKEW:
         raise NotYetValid("assertion not valid before %s" % format_timestamp(body.issued_at))
     if now >= body.not_after:
         raise Expired("assertion expired at %s" % format_timestamp(body.not_after))
@@ -573,8 +579,7 @@ class AuthenticatedPeer:
     session_public_key: bytes
 
 
-def authenticate_peer(channel, trust_root: bytes, now: datetime,
-                      skew_seconds: int = DEFAULT_CLOCK_SKEW_SECONDS) -> AuthenticatedPeer:
+def authenticate_peer(channel, trust_root: bytes, now: datetime) -> AuthenticatedPeer:
     """Run the verifier side of the handshake on a framed channel."""
     nonce = secrets.token_bytes(32)
     channel.send_frame({"type": "challenge", "nonce": _b64(nonce)})
@@ -590,7 +595,7 @@ def authenticate_peer(channel, trust_root: bytes, now: datetime,
     except MalformedCredential as exc:
         raise HandshakeError("chain-invalid", str(exc)) from exc
     try:
-        verify_session_chain(session, trust_root, now, skew_seconds)
+        verify_session_chain(session, trust_root, now)
     except (NotYetValid, Expired) as exc:
         raise HandshakeError("expired", str(exc)) from exc
     except CredentialError as exc:

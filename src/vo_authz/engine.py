@@ -99,15 +99,12 @@ def check_right(
     return Decision(False, None, "no-matching-tuple")
 
 
-def roles_in(
-    rights: Iterable[RightsTuple], warnings: Optional[list[str]] = None
-) -> list[str]:
+def roles_in(rights: Iterable[RightsTuple]) -> list[str]:
     """Roles conferred by a rights set, sorted.
 
     Only exact-mode ``group member`` tuples count; a wildcard
     membership has no defined account mapping. Tuples whose target is
-    not a two-level role name are skipped and, when ``warnings`` is
-    given, reported there.
+    not a two-level role name are skipped.
     """
     roles = set()
     for right in rights:
@@ -119,9 +116,8 @@ def roles_in(
             continue
         try:
             roles.add(validate_role_name(right.target))
-        except ValueError as exc:
-            if warnings is not None:
-                warnings.append("skipped malformed role target: %s" % exc)
+        except ValueError:
+            pass
     return sorted(roles)
 
 

@@ -11,8 +11,13 @@ fall back to the subject's personal grid-map account.
 Accounts are simulated: a table maps each account to a home directory
 and a writable flag under one export root; enforcement is the same
 two-layer check the real service would make, without OS account
-switching. Every file command writes one audit record before its
-response; audit failures fail closed.
+switching.
+
+Every check raises :class:`Refusal`, and one step per session turns it
+into the audit line and the failure frame. So every LIST, GET and PUT,
+allowed or refused, and every failed mapping writes one audit line
+before its response, naming the individual DN that acted under the
+role; audit failures fail closed.
 """
 
 from __future__ import annotations
@@ -26,20 +31,15 @@ import stat
 import sys
 import threading
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Mapping, Optional
 
 from . import wire
 from .credentials import (
     AuthenticatedPeer,
-    BadSignature,
     Clock,
     CredentialError,
-    Expired,
     HandshakeError,
     MalformedCredential,
-    NotYetValid,
-    UntrustedIssuer,
     VerifiedRights,
     assertion_from_doc,
     authenticate_peer,
@@ -92,6 +92,20 @@ class PathError(ValueError):
 
 class AuditError(Exception):
     """The audit log could not be written; commands must fail closed."""
+
+
+class Refusal(Exception):
+    """An operation refused: audited, then answered with a failure frame.
+
+    ``path`` is the audited path once the client's path is canonical;
+    before that the raw path is audited.
+    """
+
+    def __init__(self, status: int, code: str, message: str, path: Optional[str] = None):
+        super().__init__(message)
+        self.status = status
+        self.code = code
+        self.path = path
 
 
 # -- mapping tables ----------------------------------------------------------
@@ -169,8 +183,6 @@ class AccountDecision:
 
     account: str
     via: str  # "role:<vo>/<name>" or "personal"
-    subject: str
-    issuer: str
 
 
 def map_to_account(
@@ -197,24 +209,14 @@ def map_to_account(
                 "issuer %r may not map role %s to account %r"
                 % (verified.issuer, role, account),
             )
-        return AccountDecision(
-            account=account,
-            via="role:%s" % role,
-            subject=verified.subject,
-            issuer=verified.issuer,
-        )
+        return AccountDecision(account=account, via="role:%s" % role)
     personal = grid_map.get(verified.subject, ())
     if not personal:
         raise MappingError(
             "no-role-and-no-personal-mapping",
             "no role matched and %r has no personal account" % verified.subject,
         )
-    return AccountDecision(
-        account=sorted(personal)[0],
-        via="personal",
-        subject=verified.subject,
-        issuer=verified.issuer,
-    )
+    return AccountDecision(account=sorted(personal)[0], via="personal")
 
 
 # -- path handling -------------------------------------------------------------
@@ -227,6 +229,11 @@ def canonical_path(path) -> str:
     if _CONTROL_CHAR.search(path):
         raise PathError("path contains control characters")
     return posixpath.normpath(path)
+
+
+def file_url(server_name: str, path: str) -> str:
+    """The URL that file rights are checked against."""
+    return "ftp://%s%s" % (server_name, path)
 
 
 def _under(path: str, prefix: str) -> bool:
@@ -257,8 +264,7 @@ def authorize_file_op(
     file_tuples = [r for r in rights if r.service_type == FILE_SERVICE_TYPE]
     matched = None
     if file_tuples:
-        url = "ftp://%s%s" % (server_name, path)
-        layer1 = check_right(file_tuples, FILE_SERVICE_TYPE, action, url)
+        layer1 = check_right(file_tuples, FILE_SERVICE_TYPE, action, file_url(server_name, path))
         if not layer1.allowed:
             return Decision(False, None, "cas-rights")
         matched = layer1.matched_tuple
@@ -277,34 +283,6 @@ def authorize_file_op(
 # -- audit log -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    timestamp: datetime
-    subject: str
-    issuer: str
-    account: str
-    via: str
-    op: str  # LIST | GET | PUT | MAP
-    path: str
-    decision: str  # allow | deny
-    reason: str
-
-    def line(self) -> str:
-        return "\t".join(
-            (
-                format_timestamp(self.timestamp),
-                self.subject,
-                self.issuer,
-                self.account,
-                self.via,
-                self.op,
-                _audit_field(self.path),
-                self.decision,
-                self.reason,
-            )
-        ) + "\n"
-
-
 class AuditLog:
     """Append-only, serialized, flushed before each response."""
 
@@ -312,10 +290,12 @@ class AuditLog:
         self._lock = threading.Lock()
         self._handle = open(path, "a", encoding="utf-8")
 
-    def write(self, record: AuditRecord) -> None:
+    def write(self, *columns: str) -> None:
+        """Append one tab-separated line of the given columns."""
+        line = "\t".join(map(_audit_field, columns)) + "\n"
         try:
             with self._lock:
-                self._handle.write(record.line())
+                self._handle.write(line)
                 self._handle.flush()
         except (OSError, ValueError) as exc:
             raise AuditError("audit log unavailable: %s" % exc) from exc
@@ -398,30 +378,6 @@ class ResourceService:
             message = "cannot record the operation, refusing to serve it"
             wire.send_best_effort(channel, _failure(500, "audit-unavailable", message))
 
-    def audit(
-        self,
-        subject: str,
-        issuer: Optional[str],
-        decision: Optional[AccountDecision],
-        op: str,
-        path: str,
-        allowed: bool,
-        reason: str,
-    ) -> None:
-        self.audit_log.write(
-            AuditRecord(
-                timestamp=self.clock(),
-                subject=subject,
-                issuer=issuer or _NO_VALUE,
-                account=decision.account if decision else _NO_VALUE,
-                via=decision.via if decision else _NO_VALUE,
-                op=op,
-                path=path,
-                decision="allow" if allowed else "deny",
-                reason=reason,
-            )
-        )
-
 
 class _Session:
     """One authenticated connection's state and command loop."""
@@ -430,131 +386,115 @@ class _Session:
         self.service = service
         self.peer = peer
         self.rights: tuple[RightsTuple, ...] = ()
-        self.issuer: Optional[str] = None  # None until an assertion is accepted
+        self.issuer: Optional[str] = None  # set once an assertion parses
         self.decision: Optional[AccountDecision] = None
-        self.saw_traffic = False
 
     def run(self, channel: wire.Channel) -> None:
-        while True:
-            frame = channel.recv_frame()
-            kind = frame.get("type")
-            if kind == "present_assertion":
-                if not self._present_assertion(channel, frame):
-                    return
-            elif kind == "command":
-                if not self._command(channel, frame):
-                    return
-            else:
-                channel.send_frame(
-                    _protocol_error("unsupported frame type %r" % kind)
-                )
+        frame = channel.recv_frame()
+        if frame["type"] == "present_assertion":
+            if not self._serve(channel, "MAP", _NO_VALUE, self._present_assertion, frame):
                 return
+            frame = channel.recv_frame()
+        while self._command(channel, frame):
+            frame = channel.recv_frame()
 
-    # -- assertion intake ------------------------------------------------------
+    def _serve(self, channel: wire.Channel, op: str, path, handler, frame: dict) -> bool:
+        """Run ``handler(channel, frame)``; returns whether the session goes on.
+
+        This is the one place a :class:`Refusal` is audited and answered.
+        A refused mapping and a failed write (500) end the session.
+        """
+        try:
+            return handler(channel, frame)
+        except Refusal as refusal:
+            self._audit(op, refusal.path or str(path), refusal.code)
+            channel.send_frame(_failure(refusal.status, refusal.code, str(refusal)))
+            return op != "MAP" and refusal.status != 500
+
+    def _audit(self, op: str, path: str, reason: str) -> None:
+        decision = self.decision
+        self.service.audit_log.write(
+            format_timestamp(self.service.clock()),
+            self.peer.subject,
+            self.issuer or _NO_VALUE,
+            decision.account if decision else _NO_VALUE,
+            decision.via if decision else _NO_VALUE,
+            op,
+            path,
+            "allow" if reason == "ok" else "deny",
+            reason,
+        )
+
+    # -- account mapping -----------------------------------------------------------
 
     def _present_assertion(self, channel: wire.Channel, frame: dict) -> bool:
         service = self.service
-        if self.saw_traffic:
-            channel.send_frame(
-                _protocol_error("present_assertion must be the first frame")
-            )
-            return False
-        self.saw_traffic = True
-
-        def reject(status: int, code: str, message: str, issuer: Optional[str]) -> bool:
-            service.audit(self.peer.subject, issuer, None, "MAP", _NO_VALUE, False, code)
-            channel.send_frame(_failure(status, code, message))
-            return False
-
         try:
             assertion = assertion_from_doc(frame.get("assertion"))
-        except MalformedCredential as exc:
-            return reject(400, "bad-assertion", str(exc), None)
-        issuer = assertion.body.issuer
-        try:
-            verified = verify_assertion(
-                assertion, service.trusted_issuers, service.clock()
-            )
-        except UntrustedIssuer as exc:
-            return reject(401, "untrusted-issuer", str(exc), issuer)
-        except BadSignature as exc:
-            return reject(401, "bad-signature", str(exc), issuer)
-        except Expired as exc:
-            return reject(401, "expired", str(exc), issuer)
-        except NotYetValid as exc:
-            return reject(401, "not-yet-valid", str(exc), issuer)
+            self.issuer = assertion.body.issuer
+            verified = verify_assertion(assertion, service.trusted_issuers, service.clock())
         except CredentialError as exc:
-            return reject(401, "bad-assertion", str(exc), issuer)
+            status = 400 if isinstance(exc, MalformedCredential) else 401
+            raise Refusal(status, exc.code, str(exc)) from exc
         if verified.subject != self.peer.subject:
-            return reject(
+            raise Refusal(
                 401,
                 "subject-mismatch",
                 "assertion subject %r does not match the authenticated peer"
                 % verified.subject,
-                issuer,
             )
-        try:
-            decision = map_to_account(verified, service.role_map, service.grid_map)
-        except MappingError as exc:
-            return reject(403, exc.code, str(exc), issuer)
+        self.decision = self._map(verified)
         self.rights = verified.rights
-        self.issuer = verified.issuer
-        self.decision = decision
         channel.send_frame(
             {
                 "type": "response",
                 "status": 200,
-                "account": decision.account,
-                "via": decision.via,
+                "account": self.decision.account,
+                "via": self.decision.via,
             }
         )
         return True
 
+    def _map_personal(self, channel: wire.Channel, frame: dict) -> bool:
+        """Sessions without an assertion map on first use, personally."""
+        subject = self.peer.subject
+        self.decision = self._map(VerifiedRights(issuer=subject, subject=subject, rights=()))
+        return True
+
+    def _map(self, verified: VerifiedRights) -> AccountDecision:
+        try:
+            return map_to_account(verified, self.service.role_map, self.service.grid_map)
+        except MappingError as exc:
+            raise Refusal(403, exc.code, str(exc)) from exc
+
     # -- commands ----------------------------------------------------------------
 
     def _command(self, channel: wire.Channel, frame: dict) -> bool:
-        self.saw_traffic = True
+        kind = frame["type"]
         op = frame.get("op")
+        if kind != "command" or op not in ("LIST", "GET", "PUT", "QUIT"):
+            if kind == "present_assertion":
+                message = "present_assertion must be the first frame"
+            elif kind != "command":
+                message = "unsupported frame type %r" % kind
+            else:
+                message = "unknown op %r" % op
+            channel.send_frame(_protocol_error(message))
+            return False
         if op == "QUIT":
             channel.send_frame({"type": "response", "status": 200, "message": "bye"})
             return False
-        if op not in ("LIST", "GET", "PUT"):
-            channel.send_frame(_protocol_error("unknown op %r" % op))
+        if self.decision is None and not self._serve(
+            channel, "MAP", _NO_VALUE, self._map_personal, frame
+        ):
             return False
-        if self.decision is None and not self._map_personal(channel, op):
-            return False
-        if op == "LIST":
-            return self._list(channel, frame)
-        if op == "GET":
-            return self._get(channel, frame)
-        return self._put(channel, frame)
+        handler = {"LIST": self._list, "GET": self._get, "PUT": self._put}[op]
+        return self._serve(channel, op, frame.get("path"), handler, frame)
 
-    def _map_personal(self, channel: wire.Channel, op: str) -> bool:
-        """Sessions without an assertion map on first use, personally."""
+    def _authorize(self, op: str, raw_path) -> tuple[str, str]:
+        """Canonicalize, authorize and resolve a client path: ``(path, fs_path)``."""
         service = self.service
-        anonymous = VerifiedRights(
-            issuer=self.peer.subject, subject=self.peer.subject, rights=()
-        )
-        try:
-            self.decision = map_to_account(anonymous, service.role_map, service.grid_map)
-        except MappingError as exc:
-            service.audit(
-                self.peer.subject, self.issuer, None, "MAP", _NO_VALUE, False, exc.code
-            )
-            channel.send_frame(_failure(403, exc.code, str(exc)))
-            return False
-        return True
-
-    def _authorize(
-        self, channel: wire.Channel, op: str, raw_path, before_refuse=None
-    ) -> Optional[tuple[str, str]]:
-        """Canonicalize, authorize and resolve a client path.
-
-        Returns ``(path, fs_path)``. On refusal, calls ``before_refuse``
-        (if given), audits, responds, and returns None.
-        """
-        service = self.service
-        path = str(raw_path)  # what a bad-path refusal audits
+        path = None  # a path that fails canonicalization is audited raw
         try:
             path = canonical_path(raw_path)
             verdict = authorize_file_op(
@@ -568,55 +508,33 @@ class _Session:
             )
             if verdict.allowed:
                 return path, service.fs_path(path)
-            refusal = (403, verdict.reason, "denied by %s" % verdict.reason)
         except PathError as exc:
-            refusal = (400, "bad-path", str(exc))
-        if before_refuse is not None:
-            before_refuse()
-        self._refuse(channel, op, path, *refusal)
-        return None
-
-    def _refuse(
-        self, channel: wire.Channel, op: str, path: str, status: int, code: str, message: str
-    ) -> None:
-        self.service.audit(
-            self.peer.subject, self.issuer, self.decision, op, path, False, code
-        )
-        channel.send_frame(_failure(status, code, message))
-
-    def _allow(self, op: str, path: str) -> None:
-        self.service.audit(
-            self.peer.subject, self.issuer, self.decision, op, path, True, "ok"
-        )
+            raise Refusal(400, "bad-path", str(exc), path) from exc
+        if verdict.reason == "cas-rights":
+            message = "no file right covers %s" % file_url(service.server_name, path)
+        else:
+            message = "denied by %s" % verdict.reason
+        raise Refusal(403, verdict.reason, message, path)
 
     def _list(self, channel: wire.Channel, frame: dict) -> bool:
-        target = self._authorize(channel, "LIST", frame.get("path"))
-        if target is None:
-            return True
-        path, fs = target
+        path, fs = self._authorize("LIST", frame.get("path"))
         if not os.path.exists(fs):
-            self._refuse(channel, "LIST", path, 404, "not-found", "no such path")
-            return True
+            raise Refusal(404, "not-found", "no such path", path)
         if not os.path.isdir(fs):
-            self._refuse(channel, "LIST", path, 404, "not-a-directory", "not a directory")
-            return True
+            raise Refusal(404, "not-a-directory", "not a directory", path)
         entries = sorted(os.listdir(fs))
-        self._allow("LIST", path)
+        self._audit("LIST", path, "ok")
         channel.send_frame({"type": "response", "status": 200, "entries": entries})
         return True
 
     def _get(self, channel: wire.Channel, frame: dict) -> bool:
-        target = self._authorize(channel, "GET", frame.get("path"))
-        if target is None:
-            return True
-        path, fs = target
+        path, fs = self._authorize("GET", frame.get("path"))
         opened = _open_regular_file(fs)
         if opened is None:
-            self._refuse(channel, "GET", path, 404, "not-found", "no such file")
-            return True
+            raise Refusal(404, "not-found", "no such file", path)
         handle, size = opened
         with handle:
-            self._allow("GET", path)
+            self._audit("GET", path, "ok")
             # Exactly the declared size goes out, however the file changes
             # meanwhile; if it yields fewer bytes, the session ends.
             want = min(size, GET_CHUNK_BYTES)
@@ -640,33 +558,26 @@ class _Session:
 
     def _put(self, channel: wire.Channel, frame: dict) -> bool:
         size = frame.get("size")
-        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+        if not wire.is_size(size):
             channel.send_frame(_protocol_error("PUT needs a non-negative integer size"))
             return False
         if size > MAX_PUT_BYTES:
             channel.send_frame(_protocol_error("PUT payload exceeds %d bytes" % MAX_PUT_BYTES))
             return False
-
-        # The payload bytes follow the command frame unconditionally, so
-        # every refusal must still drain them to keep the stream aligned.
-        def drain() -> None:
-            channel.recv_bytes_to(size, _NullSink())
-
-        target = self._authorize(channel, "PUT", frame.get("path"), drain)
-        if target is None:
-            return True
-        path, fs = target
         try:
-            # O_EXCL makes "PUT never overwrites" race-free.
-            fd = os.open(fs, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        except FileExistsError:
-            drain()
-            self._refuse(channel, "PUT", path, 409, "exists", "refusing to overwrite")
-            return True
-        except (FileNotFoundError, NotADirectoryError):
-            drain()
-            self._refuse(channel, "PUT", path, 404, "missing-parent", "no such directory")
-            return True
+            path, fs = self._authorize("PUT", frame.get("path"))
+            try:
+                # O_EXCL makes "PUT never overwrites" race-free.
+                fd = os.open(fs, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            except FileExistsError:
+                raise Refusal(409, "exists", "refusing to overwrite", path) from None
+            except (FileNotFoundError, NotADirectoryError):
+                raise Refusal(404, "missing-parent", "no such directory", path) from None
+        except Refusal:
+            # The payload bytes follow the command frame unconditionally, so
+            # a refusal must still drain them to keep the stream aligned.
+            channel.recv_bytes_to(size, _NullSink())
+            raise
         try:
             with os.fdopen(fd, "wb") as handle:
                 channel.recv_bytes_to(size, handle)
@@ -677,9 +588,8 @@ class _Session:
             # A failed local write loses stream alignment; close after
             # reporting rather than guess how much payload remains.
             _unlink_quietly(fs)
-            self._refuse(channel, "PUT", path, 500, "internal", "write failed: %s" % exc)
-            return False
-        self._allow("PUT", path)
+            raise Refusal(500, "internal", "write failed: %s" % exc, path) from exc
+        self._audit("PUT", path, "ok")
         channel.send_frame({"type": "response", "status": 200, "size": size})
         return True
 
@@ -787,11 +697,7 @@ def load_file_config(path: str) -> FileServiceConfig:
     )
 
 
-def service_from_config(
-    config: FileServiceConfig,
-    export_root: Optional[str] = None,
-    clock: Clock = utc_now,
-) -> ResourceService:
+def service_from_config(config: FileServiceConfig, clock: Clock = utc_now) -> ResourceService:
     with open(config.trust_root_file, "r", encoding="utf-8") as handle:
         trust_root = public_key_from_pem(handle.read())
     trusted: dict[str, bytes] = {}
@@ -811,7 +717,7 @@ def service_from_config(
         account_table = parse_account_table(handle.read())
     return ResourceService(
         server_name=config.server_name,
-        export_root=export_root or config.export_root,
+        export_root=config.export_root,
         role_map=role_map,
         grid_map=grid_map,
         account_table=account_table,
@@ -828,18 +734,12 @@ def main(argv=None) -> int:
         prog="vo-file-server", description="VO role-aware file service"
     )
     parser.add_argument("--config", required=True, help="key=value config file")
-    parser.add_argument("--port", type=int, help="listen port (default %d)" % DEFAULT_PORT)
-    parser.add_argument("--export-root", help="directory served as /, overrides config")
     args = parser.parse_args(argv)
 
     try:
         config = load_file_config(args.config)
-        if args.port is not None:
-            address = ("0.0.0.0", args.port)
-        else:
-            address = wire.parse_address(config.listen)
-        service = service_from_config(config, export_root=args.export_root)
-        server = FileServer(address, service)
+        service = service_from_config(config)
+        server = FileServer(wire.parse_address(config.listen), service)
     except (ValueError, OSError, CredentialError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -242,15 +242,9 @@ class _Builder:
         self.objects.add((service_type, _validate_target(target)))
 
     def grant(self, subject: str, right: RightsTuple) -> None:
+        """Grant ``right``, built by :meth:`right` from registered types."""
         if subject not in self.subjects:
             raise UnregisteredError("unregistered subject %r" % subject)
-        st = self.service_types.get(right.service_type)
-        if st is None:
-            raise UnregisteredError("unknown service type %r" % right.service_type)
-        if right.action not in st.actions:
-            raise UnregisteredError(
-                "service type %r has no action %r" % (right.service_type, right.action)
-            )
         if right.match_mode == EXACT and (right.service_type, right.target) not in self.objects:
             raise UnregisteredError(
                 "unregistered object %r of service type %r"

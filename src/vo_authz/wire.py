@@ -52,6 +52,11 @@ def encode_frame(message: dict) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
+def is_size(value) -> bool:
+    """Is a peer-declared byte count a non-negative integer (not a bool)?"""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 class Channel:
     """A framed duplex channel over a connected socket."""
 

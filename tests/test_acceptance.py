@@ -241,7 +241,7 @@ def test_criterion_4_personal_fallback_and_truth_table(resource_env, identities,
         session.quit()
 
     # Truth table: allowed == local_ok AND (no file tuples OR they match).
-    decision = AccountDecision(account="data", via="personal", subject=TULL, issuer=TULL)
+    decision = AccountDecision(account="data", via="personal")
     table = {"data": AccountInfo("/home/data", True)}
     matching = RightsTuple("file", "read", "ftp://%s/*" % SERVER_NAME, match_mode="wildcard")
     never = RightsTuple(

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import base64
+import io
 import json
 import os
+import socket
 import threading
 from datetime import timedelta
 from types import SimpleNamespace
 
 import pytest
 
-from vo_authz import cli
+from vo_authz import cli, wire
 from vo_authz.ca import issue_identity_keypair, write_owner_only
 from vo_authz.cas_server import CasServer, CasService
 from vo_authz.client import (
     ClientError,
+    ResourceSession,
+    ServiceError,
     credential_dir,
     identity_init,
     list_tags,
@@ -423,22 +428,39 @@ def test_denial_shows_checked_url_with_server_name(world, capsys):
         world.cas_cred, world.cas_key, TULL, (DATA_ROLE, narrow), utc_now()
     )
     store_tag(world.dir, "narrow", assertion)
-    rc = cli.main(
-        [
-            "--server-name",
-            SERVER_NAME,
-            "run",
-            "narrow",
-            "ls",
-            "/public",
-            "--server",
-            world.files_address,
-        ]
-    )
+    rc = cli.main(["run", "narrow", "ls", "/public", "--server", world.files_address])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "checked url: ftp://%s/public" % SERVER_NAME in err
-    assert "cas-rights" in err
+    assert "error: 403 cas-rights: no file right covers ftp://%s/public" % SERVER_NAME in err
+
+
+@pytest.mark.parametrize("header", [{}, {"size": "12"}, {"size": -5}, {"size": True}, {"size": 1.5}])
+def test_get_refuses_a_data_header_without_a_valid_size(identities, header):
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def fake_file_service():
+        sock, _ = listener.accept()
+        channel = wire.Channel(sock, timeout=5.0)
+        try:
+            channel.send_frame({"type": "challenge", "nonce": base64.b64encode(bytes(32)).decode()})
+            assert channel.recv_frame()["type"] == "auth"
+            assert channel.recv_frame()["op"] == "GET"
+            channel.send_frame({"type": "response", "status": 200})
+            channel.send_frame(dict(header, type="data_header"))
+        finally:
+            channel.close()
+
+    server = threading.Thread(target=fake_file_service, daemon=True)
+    server.start()
+    try:
+        with ResourceSession(listener.getsockname(), identities.bundle(TULL)) as session:
+            with pytest.raises(ServiceError) as exc:
+                session.get("/home/tull/f", io.BytesIO())
+        assert (exc.value.status, exc.value.code) == (500, "protocol-error")
+    finally:
+        server.join(timeout=5)
+        listener.close()
+    assert not server.is_alive()
 
 
 def test_tags_command(world, capsys):

@@ -134,11 +134,12 @@ def test_roles_in_skips_wildcard_membership():
     assert roles_in([RightsTuple("group", "member", "atlas/*", WILDCARD)]) == []
 
 
-def test_roles_in_reports_malformed_targets():
-    warnings: list[str] = []
-    rights = [RightsTuple("group", "member", "not-a-role")]
-    assert roles_in(rights, warnings) == []
-    assert len(warnings) == 1
+def test_roles_in_skips_malformed_targets():
+    rights = [
+        RightsTuple("group", "member", "not-a-role"),
+        RightsTuple("group", "member", "atlas/data"),
+    ]
+    assert roles_in(rights) == ["atlas/data"]
 
 
 def test_roles_in_ignores_other_service_types():

@@ -5,21 +5,26 @@ import os
 import statistics
 import threading
 import time
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
 
 from vo_authz import wire
 from vo_authz.client import ResourceSession, ServiceError
-from vo_authz.credentials import VerifiedRights
+from vo_authz.credentials import (
+    VerifiedRights,
+    answer_challenge,
+    assertion_to_doc,
+    generate_keypair,
+)
 from vo_authz.engine import Decision
-from vo_authz.credentials import utc_now
 from vo_authz.file_server import (
     AccountDecision,
     AccountInfo,
     AuditError,
     AuditLog,
-    AuditRecord,
+    MAX_PUT_BYTES,
     MapFileError,
     MappingError,
     PathError,
@@ -43,12 +48,15 @@ from .conftest import (
     SERVER_NAME,
     TULL,
     WELLS,
+    IdentityFactory,
+    ResourceEnv,
     get_bytes,
     make_assertion,
 )
 
 DATA_ROLE = RightsTuple("group", "member", "atlas/data")
 ADMIN_ROLE = RightsTuple("group", "member", "atlas/admin")
+STAMP = "2003-03-19T08:30:53Z"  # conftest.NOW as the audit log writes it
 
 
 # -- map file parsing ------------------------------------------------------------
@@ -233,7 +241,7 @@ TABLE = {
 
 
 def data_decision(account="data"):
-    return AccountDecision(account=account, via="role:atlas/data", subject=ORWELL, issuer=CAS_DN)
+    return AccountDecision(account=account, via="role:atlas/data")
 
 
 def check(rights, op, path, account="data", public_root="/public") -> Decision:
@@ -298,21 +306,13 @@ def test_sibling_prefix_not_under_public():
 def test_audit_log_failure_is_an_error(tmp_path):
     log = AuditLog(str(tmp_path / "audit.log"))
     log.close()
-    record = AuditRecord(
-        timestamp=utc_now(), subject=TULL, issuer=CAS_DN, account="-", via="-",
-        op="MAP", path="-", decision="deny", reason="x",
-    )
     with pytest.raises(AuditError):
-        log.write(record)
+        log.write(STAMP, TULL, CAS_DN, "-", "-", "MAP", "-", "deny", "x")
 
 
 def test_audit_line_sanitizes_path_column(tmp_path):
     log = AuditLog(str(tmp_path / "audit.log"))
-    record = AuditRecord(
-        timestamp=utc_now(), subject=TULL, issuer=CAS_DN, account="a", via="personal",
-        op="GET", path="/bad\tpath\n", decision="deny", reason="bad-path",
-    )
-    log.write(record)
+    log.write(STAMP, TULL, CAS_DN, "a", "personal", "GET", "/bad\tpath\n", "deny", "bad-path")
     log.close()
     lines = (tmp_path / "audit.log").read_text().splitlines()
     assert len(lines) == 1
@@ -518,9 +518,9 @@ def resize_during_get_audit(env, name, resize):
     audit_log = env.service.audit_log
     write = audit_log.write
 
-    def write_then_resize(record):
-        write(record)
-        if record.op == "GET":
+    def write_then_resize(*columns):
+        write(*columns)
+        if columns[5] == "GET":
             resize(path)
 
     audit_log.write = write_then_resize
@@ -561,6 +561,8 @@ def test_get_of_a_shrinking_file_ends_the_session(
     with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
         with pytest.raises(wire.ConnectionClosedError):
             get_bytes(session, "/home/data/shrinks.dat")
+    # The session ended because the file shrank, not for another fault.
+    assert os.path.getsize(path) == size // 2
 
 
 def test_small_get_reply_is_one_write(resource_env, identities, cas_identity, now, monkeypatch):
@@ -763,3 +765,250 @@ def test_unwritable_audit_log_fails_closed(resource_env, identities, cas_identit
             session.ls("/home/data")
         assert exc.value.status == 500
         assert exc.value.code == "audit-unavailable"
+
+
+# -- every refusal, one session each --------------------------------------------------
+
+ROGUE_CAS_DN = "/O=doesciencegrid.org/CN=rogue-cas"
+NARROW = RightsTuple(
+    "file", "read", "ftp://%s/home/data/*" % SERVER_NAME, match_mode="wildcard"
+)
+PAYLOAD = b"payload that a refusal must drain"
+
+
+@pytest.fixture
+def refusal_env(tmp_path, trust_root, identities, cas_identity, clock):
+    """A file service that trusts a second issuer the grid map does not clear."""
+    other = identities.identity(OTHER_CAS_DN)
+    env = ResourceEnv(
+        tmp_path,
+        trust_root[1],
+        {CAS_DN: cas_identity[0].public_key, OTHER_CAS_DN: other[0].public_key},
+        clock,
+    )
+    outside = tmp_path / "outside.txt"
+    outside.write_text("secret")
+    os.symlink(outside, os.path.join(env.export_root, "home/data/leak"))
+    os.symlink(tmp_path, os.path.join(env.export_root, "home/data/door"))
+    env.issuers = {CAS_DN: cas_identity, OTHER_CAS_DN: other}
+    yield env
+    env.close()
+
+
+def open_channel(env, identities, subject, assertion=None):
+    """A handshaken channel; a given assertion must be accepted."""
+    channel = wire.connect(env.address, timeout=5.0)
+    answer_challenge(channel, identities.bundle(subject))
+    if assertion is not None:
+        channel.send_frame(
+            {"type": "present_assertion", "assertion": assertion_to_doc(assertion)}
+        )
+        assert channel.recv_frame()["status"] == 200
+    return channel
+
+
+def send_command(channel, op, path):
+    frame = {"type": "command", "op": op, "path": path}
+    if op == "PUT":
+        frame["size"] = len(PAYLOAD)
+        channel.send_frame(frame)
+        channel.send_bytes(PAYLOAD)
+    else:
+        channel.send_frame(frame)
+
+
+@pytest.mark.parametrize(
+    "subject, rights, op, path, status, code, message, audited",
+    [
+        (ORWELL, (DATA_ROLE,), "LIST", "/home/da\tta", 400, "bad-path",
+         "path contains control characters", "/home/da?ta"),
+        (ORWELL, (DATA_ROLE,), "GET", "relative", 400, "bad-path",
+         "path must be an absolute string", "relative"),
+        (ORWELL, (DATA_ROLE,), "GET", "/home/data/leak", 400, "bad-path",
+         "symlinks are not served", "/home/data/leak"),
+        (ORWELL, (DATA_ROLE,), "PUT", "/home/data/door/new.dat", 400, "bad-path",
+         "path escapes the export root", "/home/data/door/new.dat"),
+        (ORWELL, (DATA_ROLE, NARROW), "GET", "/public/readme.txt", 403, "cas-rights",
+         "no file right covers ftp://%s/public/readme.txt" % SERVER_NAME,
+         "/public/readme.txt"),
+        (ORWELL, (DATA_ROLE, NARROW), "PUT", "/home/data/out.dat", 403, "cas-rights",
+         "no file right covers ftp://%s/home/data/out.dat" % SERVER_NAME,
+         "/home/data/out.dat"),
+        (ORWELL, (DATA_ROLE,), "GET", "/home/admin/calib.db", 403, "local-perms",
+         "denied by local-perms", "/home/admin/calib.db"),
+        (ORWELL, (DATA_ROLE,), "PUT", "/public/notes.txt", 403, "local-perms",
+         "denied by local-perms", "/public/notes.txt"),
+        (TULL, None, "LIST", "/home/data", 403, "local-perms",
+         "denied by local-perms", "/home/data"),
+        (ORWELL, (DATA_ROLE,), "LIST", "/home/data/nosuch", 404, "not-found",
+         "no such path", "/home/data/nosuch"),
+        (ORWELL, (DATA_ROLE,), "GET", "/home/data/absent.dat", 404, "not-found",
+         "no such file", "/home/data/absent.dat"),
+        (ORWELL, (DATA_ROLE,), "LIST", "/home/data/run1.dat", 404, "not-a-directory",
+         "not a directory", "/home/data/run1.dat"),
+        (ORWELL, (DATA_ROLE,), "PUT", "/home/data/run1.dat", 409, "exists",
+         "refusing to overwrite", "/home/data/run1.dat"),
+        (ORWELL, (DATA_ROLE,), "PUT", "/home/data/nosuch/f.dat", 404, "missing-parent",
+         "no such directory", "/home/data/nosuch/f.dat"),
+    ],
+    ids=[
+        "bad-path-control-char", "bad-path-relative", "bad-path-symlink", "bad-path-escape",
+        "cas-rights-get", "cas-rights-put", "local-perms-get", "local-perms-put",
+        "local-perms-personal", "not-found-list", "not-found-get", "not-a-directory",
+        "exists", "missing-parent",
+    ],
+)
+def test_command_refusal_is_audited_answered_and_continues(
+    refusal_env, identities, cas_identity, now,
+    subject, rights, op, path, status, code, message, audited,
+):
+    assertion = None
+    account, via, issuer = "tull", "personal", "-"
+    if rights is not None:
+        assertion = make_assertion(*cas_identity, subject, rights, now)
+        account, via, issuer = "data", "role:atlas/data", CAS_DN
+    channel = open_channel(refusal_env, identities, subject, assertion)
+    try:
+        send_command(channel, op, path)
+        assert channel.recv_frame() == {
+            "type": "response", "status": status, "code": code, "message": message
+        }
+        # The session goes on, with the stream still aligned after a PUT.
+        channel.send_frame({"type": "command", "op": "QUIT"})
+        assert channel.recv_frame() == {"type": "response", "status": 200, "message": "bye"}
+    finally:
+        channel.close()
+    assert refusal_env.audit_lines() == [
+        [STAMP, subject, issuer, account, via, op, audited, "deny", code]
+    ]
+
+
+def map_refusal_assertion(kind, issuers, now):
+    cas = issuers[CAS_DN]
+    if kind == "untrusted-issuer":
+        rogue = IdentityFactory(generate_keypair()[0], now).identity(ROGUE_CAS_DN)
+        return make_assertion(*rogue, ORWELL, (DATA_ROLE,), now)
+    if kind == "bad-signature":
+        genuine = make_assertion(*cas, ORWELL, (DATA_ROLE,), now)
+        return replace(genuine, body=replace(genuine.body, rights=(ADMIN_ROLE,)))
+    if kind == "expired":
+        return make_assertion(*cas, ORWELL, (DATA_ROLE,), now - timedelta(hours=2))
+    if kind == "not-yet-valid":
+        return make_assertion(*cas, ORWELL, (DATA_ROLE,), now + timedelta(hours=1))
+    if kind == "subject-mismatch":
+        return make_assertion(*cas, TULL, (DATA_ROLE,), now)
+    if kind == "issuer-not-authorized-for-account":
+        return make_assertion(*issuers[OTHER_CAS_DN], ORWELL, (DATA_ROLE,), now)
+    assert kind == "no-role-and-no-personal-mapping"
+    return make_assertion(*cas, WELLS, (), now)
+
+
+@pytest.mark.parametrize(
+    "kind, subject, status, issuer",
+    [
+        ("bad-assertion", ORWELL, 400, "-"),
+        ("untrusted-issuer", ORWELL, 401, ROGUE_CAS_DN),
+        ("bad-signature", ORWELL, 401, CAS_DN),
+        ("expired", ORWELL, 401, CAS_DN),
+        ("not-yet-valid", ORWELL, 401, CAS_DN),
+        ("subject-mismatch", ORWELL, 401, CAS_DN),
+        ("issuer-not-authorized-for-account", ORWELL, 403, OTHER_CAS_DN),
+        ("no-role-and-no-personal-mapping", WELLS, 403, CAS_DN),
+    ],
+)
+def test_assertion_refusal_is_audited_answered_and_ends_the_session(
+    refusal_env, identities, now, kind, subject, status, issuer
+):
+    channel = open_channel(refusal_env, identities, subject)
+    try:
+        if kind == "bad-assertion":
+            document = {"issuer": CAS_DN}
+        else:
+            assertion = map_refusal_assertion(kind, refusal_env.issuers, now)
+            document = assertion_to_doc(assertion)
+        channel.send_frame({"type": "present_assertion", "assertion": document})
+        reply = channel.recv_frame()
+        assert {k: reply[k] for k in ("type", "status", "code")} == {
+            "type": "response", "status": status, "code": kind
+        }
+        assert set(reply) == {"type", "status", "code", "message"}
+        with pytest.raises(wire.ConnectionClosedError):
+            channel.recv_frame()
+    finally:
+        channel.close()
+    assert refusal_env.audit_lines() == [
+        [STAMP, subject, issuer, "-", "-", "MAP", "-", "deny", kind]
+    ]
+
+
+def test_personal_mapping_refusal_is_audited_answered_and_ends_the_session(
+    refusal_env, identities
+):
+    channel = open_channel(refusal_env, identities, WELLS)
+    try:
+        send_command(channel, "LIST", "/public")
+        assert channel.recv_frame() == {
+            "type": "response",
+            "status": 403,
+            "code": "no-role-and-no-personal-mapping",
+            "message": "no role matched and %r has no personal account" % WELLS,
+        }
+        with pytest.raises(wire.ConnectionClosedError):
+            channel.recv_frame()
+    finally:
+        channel.close()
+    assert refusal_env.audit_lines() == [
+        [STAMP, WELLS, "-", "-", "-", "MAP", "-", "deny", "no-role-and-no-personal-mapping"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "frames, message",
+    [
+        ([{"type": "command", "op": "LIST", "path": "/home/tull"},
+          {"type": "present_assertion", "assertion": {}}],
+         "present_assertion must be the first frame"),
+        ([{"type": "command", "op": "DELETE", "path": "/home/tull"}],
+         "unknown op 'DELETE'"),
+        ([{"type": "hello"}], "unsupported frame type 'hello'"),
+        ([{"type": "command", "op": "PUT", "path": "/home/tull/x", "size": -1}],
+         "PUT needs a non-negative integer size"),
+        ([{"type": "command", "op": "PUT", "path": "/home/tull/x", "size": True}],
+         "PUT needs a non-negative integer size"),
+        ([{"type": "command", "op": "PUT", "path": "/home/tull/x", "size": MAX_PUT_BYTES + 1}],
+         "PUT payload exceeds %d bytes" % MAX_PUT_BYTES),
+    ],
+    ids=["assertion-after-command", "unknown-op", "unsupported-frame",
+         "put-negative-size", "put-bool-size", "put-oversized"],
+)
+def test_protocol_errors_end_the_session_unaudited(refusal_env, identities, frames, message):
+    channel = open_channel(refusal_env, identities, TULL)
+    try:
+        *allowed, last = frames
+        for frame in allowed:
+            channel.send_frame(frame)
+            assert channel.recv_frame()["status"] == 200
+        channel.send_frame(last)
+        assert channel.recv_frame() == {
+            "type": "error", "status": 400, "code": "protocol-error", "message": message
+        }
+        with pytest.raises(wire.ConnectionClosedError):
+            channel.recv_frame()
+    finally:
+        channel.close()
+    assert [line[7] for line in refusal_env.audit_lines()] == ["allow"] * len(allowed)
+
+
+def test_second_assertion_is_a_protocol_error(refusal_env, identities, cas_identity, now):
+    assertion = make_assertion(*cas_identity, ORWELL, (DATA_ROLE,), now)
+    channel = open_channel(refusal_env, identities, ORWELL, assertion)
+    try:
+        channel.send_frame(
+            {"type": "present_assertion", "assertion": assertion_to_doc(assertion)}
+        )
+        assert channel.recv_frame()["message"] == "present_assertion must be the first frame"
+        with pytest.raises(wire.ConnectionClosedError):
+            channel.recv_frame()
+    finally:
+        channel.close()
+    assert refusal_env.audit_lines() == []
