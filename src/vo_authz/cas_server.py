@@ -4,9 +4,12 @@ Each connection carries exactly one request. The server authenticates
 the peer with the challenge-response handshake, then answers either an
 ``issue_request`` (mint an assertion for the peer's granted rights,
 optionally narrowed by a requested filter) or an ``admin_load`` (apply
-a policy command file, admins only). The policy store is an immutable
-value, so concurrent issuance always sees either the pre-load or the
-post-load store, never a mix; a lock serializes the writers.
+a policy command file, admins only). The handlers raise
+:class:`wire.Refusal`; :meth:`CasService.handle_request` is the one
+place that turns a refusal into its reply. The policy store is an
+immutable value, so concurrent issuance always sees either the
+pre-load or the post-load store, never a mix; a lock serializes the
+writers.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .credentials import (
     AuthenticatedPeer,
     Clock,
     CredentialError,
-    HandshakeError,
     IdentityCredential,
     assertion_to_doc,
     authenticate_peer,
@@ -119,47 +121,38 @@ class CasService:
 
     def handle_session(self, channel: wire.Channel) -> None:
         """Authenticate the peer, then answer its one request."""
-        try:
-            peer = authenticate_peer(channel, self.trust_root, self.clock())
-            frame = channel.recv_frame()
-            channel.send_frame(self.handle_request(peer, frame))
-        except HandshakeError as exc:
-            wire.send_best_effort(channel, _error(401, exc.code, str(exc)))
-        except wire.WireError as exc:
-            wire.send_best_effort(channel, _error(400, "protocol-error", str(exc)))
+        peer = authenticate_peer(channel, self.trust_root, self.clock())
+        channel.send_frame(self.handle_request(peer, channel.recv_frame()))
 
     def handle_request(self, peer: AuthenticatedPeer, frame: dict) -> dict:
-        if frame["type"] == "issue_request":
-            return self.handle_issue(peer, frame)
-        if frame["type"] == "admin_load":
-            return self.handle_admin_load(peer, frame)
-        return _error(400, "unknown-request", "unsupported request type %r" % frame["type"])
+        """Answer one request: its success reply, or its refusal's reply."""
+        try:
+            if frame["type"] == "issue_request":
+                return self.handle_issue(peer, frame)
+            if frame["type"] == "admin_load":
+                return self.handle_admin_load(peer, frame)
+            raise wire.Refusal(400, "unknown-request", "unsupported request type %r" % frame["type"])
+        except wire.Refusal as refusal:
+            return refusal.reply()
 
     # -- issuance -----------------------------------------------------------
 
     def handle_issue(self, peer: AuthenticatedPeer, frame: dict) -> dict:
-        try:
-            requested = _parse_requested_rights(frame.get("rights"))
-            lifetime = _parse_lifetime(frame.get("lifetime_seconds"))
-        except ValueError as exc:
-            return _issue_failure(400, "bad-request", str(exc))
-
+        requested = _parse_requested_rights(frame.get("rights"))
+        lifetime = _parse_lifetime(frame.get("lifetime_seconds"))
         store = self._store
         if peer.subject not in store.subjects:
-            return _issue_failure(
+            raise wire.Refusal(
                 403, "no-vo-membership", "subject %r is not a member of this VO" % peer.subject
             )
         granted = store.rights_of(peer.subject)
         if not granted:
-            return _issue_failure(
-                403, "no-rights", "subject %r holds no rights" % peer.subject
-            )
+            raise wire.Refusal(403, "no-rights", "subject %r holds no rights" % peer.subject)
         try:
             rights = filter_rights(granted, requested)
         except FilterDenied as exc:
-            failure = _issue_failure(403, "rights-not-granted", str(exc))
-            failure["uncovered"] = [t.as_dict() for t in exc.uncovered]
-            return failure
+            uncovered = [t.as_dict() for t in exc.uncovered]
+            raise wire.Refusal(403, "rights-not-granted", str(exc), uncovered=uncovered) from exc
 
         now = self.clock()
         seconds = min(lifetime or self.max_lifetime_seconds, self.max_lifetime_seconds)
@@ -172,73 +165,51 @@ class CasService:
             rights=rights,
         )
         assertion = sign_assertion(body, self._issuer_private_key)
-        return {
-            "type": "issue_response",
-            "status": 200,
-            "assertion": assertion_to_doc(assertion),
-        }
+        return wire.reply(200, assertion=assertion_to_doc(assertion))
 
     # -- administration -----------------------------------------------------
 
     def handle_admin_load(self, peer: AuthenticatedPeer, frame: dict) -> dict:
         if peer.subject not in self.admin_dns:
-            return _admin_failure(
-                403, "not-admin", "subject %r may not load policy" % peer.subject
-            )
+            raise wire.Refusal(403, "not-admin", "subject %r may not load policy" % peer.subject)
         commands = frame.get("commands")
         if not isinstance(commands, str):
-            return _admin_failure(
-                400, "bad-request", "admin_load needs a string 'commands' field"
-            )
+            raise wire.Refusal(400, "bad-request", "admin_load needs a string 'commands' field")
         with self._write_lock:
             try:
                 new_store, applied = apply_command_file(self._store, commands)
             except CommandFileError as exc:
-                failure = _admin_failure(400, "command-file-error", str(exc))
-                failure["line"] = exc.line
-                return failure
+                raise wire.Refusal(400, "command-file-error", str(exc), line=exc.line) from exc
             if self.snapshot_path is not None:
                 # Persist first: a store the snapshot does not hold would
                 # be lost on restart, so a failed write keeps the old one.
                 try:
                     write_atomically(self.snapshot_path, save_snapshot(new_store))
                 except OSError as exc:
-                    return _admin_failure(
+                    raise wire.Refusal(
                         500, "snapshot-failed", "cannot write the policy snapshot: %s" % exc
-                    )
+                    ) from exc
             self._store = new_store
-        return {"type": "admin_result", "status": 200, "applied": applied}
+        return wire.reply(200, applied=applied)
 
 
 def _parse_requested_rights(value) -> list[RightsTuple]:
     if value is None:
         return []
     if not isinstance(value, list):
-        raise ValueError("'rights' must be a list of rights tuples")
+        raise wire.Refusal(400, "bad-request", "'rights' must be a list of rights tuples")
     try:
         return [RightsTuple.from_dict(item) for item in value]
     except (TypeError, ValueError) as exc:
-        raise ValueError("bad requested right: %s" % exc)
+        raise wire.Refusal(400, "bad-request", "bad requested right: %s" % exc) from exc
 
 
 def _parse_lifetime(value) -> Optional[int]:
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise ValueError("'lifetime_seconds' must be a positive integer")
+        raise wire.Refusal(400, "bad-request", "'lifetime_seconds' must be a positive integer")
     return value
-
-
-def _issue_failure(status: int, code: str, message: str) -> dict:
-    return {"type": "issue_response", "status": status, "code": code, "message": message}
-
-
-def _error(status: int, code: str, message: str) -> dict:
-    return {"type": "error", "status": status, "code": code, "message": message}
-
-
-def _admin_failure(status: int, code: str, message: str) -> dict:
-    return {"type": "admin_result", "status": status, "code": code, "message": message}
 
 
 # -- network plumbing --------------------------------------------------------

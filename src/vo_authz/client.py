@@ -5,6 +5,7 @@ The credential directory (default ``~/.vo-authz``, overridable with
 session credential, and one file per tagged assertion. A tag names
 which assertion a command runs under, so a user can hold several
 narrowed assertions side by side and pick per invocation.
+Both services answer with ``response`` frames, read by :func:`_reply`.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class ServiceError(Exception):
         super().__init__("%d %s: %s" % (status, code, message))
         self.status = status
         self.code = code
-        self.reason = message
         self.uncovered = uncovered or []
 
 
@@ -218,20 +218,11 @@ def list_tags(directory: str, clock: Clock = utc_now) -> list[TagInfo]:
 # -- issuance protocol client ------------------------------------------------------
 
 
-def _expect_frame(channel: wire.Channel, expected_type: str) -> dict:
+def _reply(channel: wire.Channel) -> dict:
+    """Read a service's reply; any status but 200 raises :class:`ServiceError`."""
     frame = channel.recv_frame()
-    if frame["type"] == "error":
-        raise ServiceError(
-            frame.get("status", 500),
-            frame.get("code", "error"),
-            frame.get("message", "unspecified error"),
-        )
-    if frame["type"] != expected_type:
+    if frame["type"] != "response":
         raise ServiceError(500, "protocol-error", "unexpected frame %r" % frame["type"])
-    return frame
-
-
-def _raise_for_status(frame: dict) -> dict:
     if frame.get("status") != 200:
         raise ServiceError(
             frame.get("status", 500),
@@ -242,6 +233,27 @@ def _raise_for_status(frame: dict) -> dict:
     return frame
 
 
+def _open(address: tuple[str, int], bundle: SessionBundle, timeout: float) -> wire.Channel:
+    """Connect and answer the service's challenge."""
+    channel = wire.connect(address, timeout=timeout)
+    try:
+        answer_challenge(channel, bundle)
+    except BaseException:
+        channel.close()
+        raise
+    return channel
+
+
+def _call(address: tuple[str, int], bundle: SessionBundle, request: dict, timeout: float) -> dict:
+    """One request on its own connection: the issuance service's protocol."""
+    channel = _open(address, bundle, timeout)
+    try:
+        channel.send_frame(request)
+        return _reply(channel)
+    finally:
+        channel.close()
+
+
 def issue_assertion(
     address: tuple[str, int],
     bundle: SessionBundle,
@@ -250,19 +262,12 @@ def issue_assertion(
     timeout: float = 10.0,
 ) -> Assertion:
     """Authenticate to the issuance service and obtain an assertion."""
-    channel = wire.connect(address, timeout=timeout)
-    try:
-        answer_challenge(channel, bundle)
-        request: dict = {"type": "issue_request"}
-        if requested:
-            request["rights"] = [t.as_dict() for t in requested]
-        if lifetime_seconds is not None:
-            request["lifetime_seconds"] = lifetime_seconds
-        channel.send_frame(request)
-        frame = _raise_for_status(_expect_frame(channel, "issue_response"))
-        return assertion_from_doc(frame.get("assertion"))
-    finally:
-        channel.close()
+    request: dict = {"type": "issue_request"}
+    if requested:
+        request["rights"] = [t.as_dict() for t in requested]
+    if lifetime_seconds is not None:
+        request["lifetime_seconds"] = lifetime_seconds
+    return assertion_from_doc(_call(address, bundle, request, timeout).get("assertion"))
 
 
 def admin_load(
@@ -272,14 +277,8 @@ def admin_load(
     timeout: float = 10.0,
 ) -> int:
     """Send a policy command file to the issuance service; returns count."""
-    channel = wire.connect(address, timeout=timeout)
-    try:
-        answer_challenge(channel, bundle)
-        channel.send_frame({"type": "admin_load", "commands": commands})
-        frame = _raise_for_status(_expect_frame(channel, "admin_result"))
-        return frame.get("applied", 0)
-    finally:
-        channel.close()
+    request = {"type": "admin_load", "commands": commands}
+    return _call(address, bundle, request, timeout).get("applied", 0)
 
 
 # -- resource protocol client -------------------------------------------------------
@@ -297,19 +296,15 @@ class ResourceSession:
     ):
         self.account: Optional[str] = None
         self.via: Optional[str] = None
-        self._channel = wire.connect(address, timeout=timeout)
-        try:
-            answer_challenge(self._channel, bundle)
-            if assertion is not None:
-                self._channel.send_frame(
-                    {"type": "present_assertion", "assertion": assertion_to_doc(assertion)}
-                )
-                frame = _raise_for_status(_expect_frame(self._channel, "response"))
-                self.account = frame.get("account")
-                self.via = frame.get("via")
-        except BaseException:
-            self._channel.close()
-            raise
+        self._channel = _open(address, bundle, timeout)
+        if assertion is not None:
+            request = {"type": "present_assertion", "assertion": assertion_to_doc(assertion)}
+            try:
+                frame = self._ask(request)
+            except BaseException:
+                self.close()
+                raise
+            self.account, self.via = frame.get("account"), frame.get("via")
 
     def __enter__(self) -> "ResourceSession":
         return self
@@ -317,20 +312,21 @@ class ResourceSession:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def _ask(self, request: dict) -> dict:
+        self._channel.send_frame(request)
+        return _reply(self._channel)
+
     def ls(self, path: str) -> list[str]:
-        self._channel.send_frame({"type": "command", "op": "LIST", "path": path})
-        frame = _raise_for_status(_expect_frame(self._channel, "response"))
+        frame = self._ask({"type": "command", "op": "LIST", "path": path})
         return list(frame.get("entries", []))
 
     def get(self, path: str, writer) -> int:
         """Download into ``writer.write``; returns the byte count."""
-        self._channel.send_frame({"type": "command", "op": "GET", "path": path})
-        _raise_for_status(_expect_frame(self._channel, "response"))
-        size = _expect_frame(self._channel, "data_header").get("size")
-        if not wire.is_size(size):
-            raise ServiceError(
-                500, "protocol-error", "data_header needs a non-negative integer size"
-            )
+        self._ask({"type": "command", "op": "GET", "path": path})
+        header = self._channel.recv_frame()
+        size = header.get("size")
+        if header["type"] != "data_header" or not wire.is_size(size):
+            raise ServiceError(500, "protocol-error", "expected a data_header with a size")
         self._channel.recv_bytes_to(size, writer)
         return size
 
@@ -339,11 +335,10 @@ class ResourceSession:
             {"type": "command", "op": "PUT", "path": path, "size": len(data)}
         )
         self._channel.send_bytes(data)
-        _raise_for_status(_expect_frame(self._channel, "response"))
+        _reply(self._channel)
 
     def quit(self) -> None:
-        self._channel.send_frame({"type": "command", "op": "QUIT"})
-        _raise_for_status(_expect_frame(self._channel, "response"))
+        self._ask({"type": "command", "op": "QUIT"})
 
     def close(self) -> None:
         self._channel.close()

@@ -79,12 +79,11 @@ class Expired(CredentialError):
     code = "expired"
 
 
-class HandshakeError(CredentialError):
-    """Challenge-response authentication failed."""
+class HandshakeError(wire.Refusal, CredentialError):
+    """Challenge-response authentication failed; a service answers 401."""
 
     def __init__(self, code: str, message: str):
-        super().__init__("%s: %s" % (code, message))
-        self.code = code
+        super().__init__(401, code, "%s: %s" % (code, message))
 
 
 # -- canonical encoding ------------------------------------------------------

@@ -14,10 +14,12 @@ two-layer check the real service would make, without OS account
 switching.
 
 Every check raises :class:`Refusal`, and one step per session turns it
-into the audit line and the failure frame. So every LIST, GET and PUT,
+into the audit line and the failure reply. So every LIST, GET and PUT,
 allowed or refused, and every failed mapping writes one audit line
 before its response, naming the individual DN that acted under the
-role; audit failures fail closed.
+role; audit failures fail closed. A handshake failure, a protocol
+error and an audit failure end the session, and :class:`wire.Server`
+answers them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .credentials import (
     AuthenticatedPeer,
     Clock,
     CredentialError,
-    HandshakeError,
     MalformedCredential,
     VerifiedRights,
     assertion_from_doc,
@@ -94,17 +95,15 @@ class AuditError(Exception):
     """The audit log could not be written; commands must fail closed."""
 
 
-class Refusal(Exception):
-    """An operation refused: audited, then answered with a failure frame.
+class Refusal(wire.Refusal):
+    """An operation refused: audited, then answered with its reply.
 
     ``path`` is the audited path once the client's path is canonical;
     before that the raw path is audited.
     """
 
     def __init__(self, status: int, code: str, message: str, path: Optional[str] = None):
-        super().__init__(message)
-        self.status = status
-        self.code = code
+        super().__init__(status, code, message)
         self.path = path
 
 
@@ -228,7 +227,8 @@ def canonical_path(path) -> str:
         raise PathError("path must be an absolute string")
     if _CONTROL_CHAR.search(path):
         raise PathError("path contains control characters")
-    return posixpath.normpath(path)
+    # POSIX normpath keeps exactly two leading slashes; one file, one name.
+    return "/" + posixpath.normpath(path).lstrip("/")
 
 
 def file_url(server_name: str, path: str) -> str:
@@ -367,16 +367,12 @@ class ResourceService:
     # -- session driving -------------------------------------------------------
 
     def handle_session(self, channel: wire.Channel) -> None:
-        try:
-            peer = authenticate_peer(channel, self.trust_root, self.clock())
-        except HandshakeError as exc:
-            wire.send_best_effort(channel, _failure(401, exc.code, str(exc)))
-            return
+        peer = authenticate_peer(channel, self.trust_root, self.clock())
         try:
             _Session(self, peer).run(channel)
-        except AuditError:
+        except AuditError as exc:
             message = "cannot record the operation, refusing to serve it"
-            wire.send_best_effort(channel, _failure(500, "audit-unavailable", message))
+            raise wire.Refusal(500, "audit-unavailable", message) from exc
 
 
 class _Session:
@@ -408,7 +404,7 @@ class _Session:
             return handler(channel, frame)
         except Refusal as refusal:
             self._audit(op, refusal.path or str(path), refusal.code)
-            channel.send_frame(_failure(refusal.status, refusal.code, str(refusal)))
+            channel.send_frame(refusal.reply())
             return op != "MAP" and refusal.status != 500
 
     def _audit(self, op: str, path: str, reason: str) -> None:
@@ -446,12 +442,7 @@ class _Session:
         self.decision = self._map(verified)
         self.rights = verified.rights
         channel.send_frame(
-            {
-                "type": "response",
-                "status": 200,
-                "account": self.decision.account,
-                "via": self.decision.via,
-            }
+            wire.reply(200, account=self.decision.account, via=self.decision.via)
         )
         return True
 
@@ -479,10 +470,9 @@ class _Session:
                 message = "unsupported frame type %r" % kind
             else:
                 message = "unknown op %r" % op
-            channel.send_frame(_protocol_error(message))
-            return False
+            raise wire.ProtocolError(message)
         if op == "QUIT":
-            channel.send_frame({"type": "response", "status": 200, "message": "bye"})
+            channel.send_frame(wire.reply(200, message="bye"))
             return False
         if self.decision is None and not self._serve(
             channel, "MAP", _NO_VALUE, self._map_personal, frame
@@ -524,7 +514,7 @@ class _Session:
             raise Refusal(404, "not-a-directory", "not a directory", path)
         entries = sorted(os.listdir(fs))
         self._audit("LIST", path, "ok")
-        channel.send_frame({"type": "response", "status": 200, "entries": entries})
+        channel.send_frame(wire.reply(200, entries=entries))
         return True
 
     def _get(self, channel: wire.Channel, frame: dict) -> bool:
@@ -543,7 +533,7 @@ class _Session:
                 return False
             # A reply of up to one chunk leaves in a single write.
             channel.send_bytes(
-                wire.encode_frame({"type": "response", "status": 200})
+                wire.encode_frame(wire.reply(200))
                 + wire.encode_frame({"type": "data_header", "size": size})
                 + first
             )
@@ -559,11 +549,9 @@ class _Session:
     def _put(self, channel: wire.Channel, frame: dict) -> bool:
         size = frame.get("size")
         if not wire.is_size(size):
-            channel.send_frame(_protocol_error("PUT needs a non-negative integer size"))
-            return False
+            raise wire.ProtocolError("PUT needs a non-negative integer size")
         if size > MAX_PUT_BYTES:
-            channel.send_frame(_protocol_error("PUT payload exceeds %d bytes" % MAX_PUT_BYTES))
-            return False
+            raise wire.ProtocolError("PUT payload exceeds %d bytes" % MAX_PUT_BYTES)
         try:
             path, fs = self._authorize("PUT", frame.get("path"))
             try:
@@ -590,7 +578,7 @@ class _Session:
             _unlink_quietly(fs)
             raise Refusal(500, "internal", "write failed: %s" % exc, path) from exc
         self._audit("PUT", path, "ok")
-        channel.send_frame({"type": "response", "status": 200, "size": size})
+        channel.send_frame(wire.reply(200, size=size))
         return True
 
 
@@ -632,14 +620,6 @@ def _unlink_quietly(path: str) -> None:
         os.unlink(path)
     except OSError:
         pass
-
-
-def _failure(status: int, code: str, message: str) -> dict:
-    return {"type": "response", "status": status, "code": code, "message": message}
-
-
-def _protocol_error(message: str) -> dict:
-    return {"type": "error", "status": 400, "code": "protocol-error", "message": message}
 
 
 # -- server plumbing and configuration ------------------------------------------

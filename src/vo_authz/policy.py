@@ -47,7 +47,6 @@ class CommandFileError(PolicyError):
     def __init__(self, line: int, reason: str):
         super().__init__("line %d: %s" % (line, reason))
         self.line = line
-        self.reason = reason
 
 
 _UNREPRESENTABLE_IN_DN = re.compile(r'["\x00-\x1f]')  # a quote or a control character

@@ -1,4 +1,4 @@
-"""Message framing and the connection server shared by both services.
+"""Message framing, the one reply shape, and the server both services share.
 
 Every message is a 4-byte big-endian unsigned length (at most 1 MiB)
 followed by that many bytes of UTF-8 JSON with a top-level ``type``
@@ -6,8 +6,13 @@ field. File payloads are the sole exception: raw bytes of a
 pre-declared size follow a ``data_header`` frame (downloads) or a
 ``command`` frame (uploads).
 
+Every answer from a service is one :func:`reply` frame of type
+``response``; a refusal is raised as a :class:`Refusal` and carries its
+reply (``code``, ``message`` and any extra fields).
+
 Both services run on :class:`Server`: accept, hand the framed channel
-to the service's ``handle_session``, close. TCP sockets on both ends set
+to the service's ``handle_session``, answer a refusal or a transport
+error that ends the session, close. TCP sockets on both ends set
 ``TCP_NODELAY``: a reply written as a frame plus payload in separate
 small writes would otherwise wait on the peer's delayed ACK.
 """
@@ -44,6 +49,24 @@ class ChannelTimeout(WireError):
     """No data arrived within the channel's timeout."""
 
 
+def reply(status: int, **fields) -> dict:
+    """The one answer frame: ``{"type": "response", "status": ..., **fields}``."""
+    return {"type": "response", "status": status, **fields}
+
+
+class Refusal(Exception):
+    """A refused request; ``reply()`` answers it, with any extra ``fields``."""
+
+    def __init__(self, status: int, code: str, message: str, **fields):
+        super().__init__(message)
+        self.status = status
+        self.code = code
+        self.fields = fields
+
+    def reply(self) -> dict:
+        return reply(self.status, code=self.code, message=str(self), **self.fields)
+
+
 def encode_frame(message: dict) -> bytes:
     """Encode one message as a length-prefixed frame, ready to send."""
     data = json.dumps(message, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -78,6 +101,8 @@ class Channel:
             message = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError("frame is not valid JSON: %s" % exc) from exc
+        except RecursionError:
+            raise ProtocolError("frame nests too deeply") from None
         if not isinstance(message, dict) or not isinstance(message.get("type"), str):
             raise ProtocolError("frame lacks a string 'type' field")
         return message
@@ -116,14 +141,6 @@ class Channel:
         return bytes(buf)
 
 
-def send_best_effort(channel: Channel, frame: dict) -> None:
-    """Send a final frame, ignoring a peer that has already gone."""
-    try:
-        channel.send_frame(frame)
-    except OSError:
-        pass
-
-
 # How long shutdown() can wait for serve_forever to notice it.
 _SHUTDOWN_POLL_SECONDS = 0.05
 
@@ -133,9 +150,10 @@ class Server(socketserver.ThreadingTCPServer):
 
     The service provides ``io_timeout`` (seconds) and
     ``handle_session(channel)``; the server closes the channel when the
-    session returns. A session ended by a transport error (a peer gone
-    mid-message, broken framing) just closes: there is no one left to
-    answer.
+    session returns. A :class:`Refusal` that escapes the session is
+    answered with its reply, and a transport error (broken framing, an
+    idle timeout, a peer gone mid-message) with a best-effort 400
+    ``protocol-error``.
     """
 
     allow_reuse_address = True
@@ -158,8 +176,13 @@ class Server(socketserver.ThreadingTCPServer):
         channel = Channel(request, timeout=self.service.io_timeout)
         try:
             self.service.handle_session(channel)
-        except WireError:
-            pass
+        except (Refusal, WireError) as exc:
+            if isinstance(exc, WireError):
+                exc = Refusal(400, "protocol-error", str(exc))
+            try:
+                channel.send_frame(exc.reply())
+            except OSError:
+                pass  # the peer has already gone
         finally:
             channel.close()
 
@@ -185,6 +208,6 @@ def connect(address: tuple[str, int], timeout: float | None = 10.0) -> Channel:
 def parse_address(text: str) -> tuple[str, int]:
     """Parse ``host:port`` (bare ``:port`` binds all interfaces)."""
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
+    if not sep or not port.isdigit() or int(port) > 65535:
         raise ValueError("expected host:port, got %r" % text)
     return host or "0.0.0.0", int(port)

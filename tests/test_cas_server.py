@@ -44,7 +44,7 @@ def peer(subject: str) -> AuthenticatedPeer:
 def issue(service: CasService, subject: str, **fields) -> dict:
     frame = {"type": "issue_request"}
     frame.update(fields)
-    return service.handle_issue(peer(subject), frame)
+    return service.handle_request(peer(subject), frame)
 
 
 def trusted(service: CasService) -> dict[str, bytes]:
@@ -98,7 +98,7 @@ def test_registered_but_grantless_subject_gets_no_rights(cas_identity, trust_roo
 def test_subject_whose_last_right_is_rescinded_gets_no_rights(cas_service):
     assert issue(cas_service, ORWELL)["status"] == 200
     commands = 'rescind "%s" member atlas/data\n' % ORWELL
-    response = cas_service.handle_admin_load(
+    response = cas_service.handle_request(
         peer(ADMIN), {"type": "admin_load", "commands": commands}
     )
     assert response["status"] == 200
@@ -165,7 +165,7 @@ def test_serials_are_fresh(cas_service):
 
 def test_unknown_request_type(cas_service):
     response = cas_service.handle_request(peer(TULL), {"type": "command"})
-    assert response["type"] == "error"
+    assert response["type"] == "response"
     assert response["status"] == 400
 
 
@@ -173,7 +173,7 @@ def test_unknown_request_type(cas_service):
 
 
 def test_non_admin_cannot_load(cas_service, demo_store):
-    response = cas_service.handle_admin_load(
+    response = cas_service.handle_request(
         peer(TULL), {"type": "admin_load", "commands": "servicetype net join\n"}
     )
     assert response["status"] == 403
@@ -183,10 +183,10 @@ def test_non_admin_cannot_load(cas_service, demo_store):
 
 def test_admin_load_applies_and_persists(cas_service):
     commands = 'rescind "%s" member atlas/admin\n' % TULL
-    response = cas_service.handle_admin_load(
+    response = cas_service.handle_request(
         peer(ADMIN), {"type": "admin_load", "commands": commands}
     )
-    assert response == {"type": "admin_result", "status": 200, "applied": 1}
+    assert response == {"type": "response", "status": 200, "applied": 1}
     assert cas_service.store.rights_of(TULL) == [
         RightsTuple("group", "member", "atlas/data")
     ]
@@ -195,11 +195,11 @@ def test_admin_load_applies_and_persists(cas_service):
 
 
 def test_admin_load_error_names_line_and_mutates_nothing(cas_service, demo_store):
-    cas_service.handle_admin_load(peer(ADMIN), {"type": "admin_load", "commands": ""})
+    cas_service.handle_request(peer(ADMIN), {"type": "admin_load", "commands": ""})
     with open(cas_service.snapshot_path, "rb") as handle:
         before = handle.read()
     commands = "object group atlas/new\nbogus line\n"
-    response = cas_service.handle_admin_load(
+    response = cas_service.handle_request(
         peer(ADMIN), {"type": "admin_load", "commands": commands}
     )
     assert response["status"] == 400
@@ -211,7 +211,7 @@ def test_admin_load_error_names_line_and_mutates_nothing(cas_service, demo_store
 
 
 def test_admin_load_requires_string_commands(cas_service):
-    response = cas_service.handle_admin_load(peer(ADMIN), {"type": "admin_load", "commands": 7})
+    response = cas_service.handle_request(peer(ADMIN), {"type": "admin_load", "commands": 7})
     assert response["status"] == 400
 
 
@@ -231,7 +231,7 @@ def test_issuance_sees_pre_or_post_load_store_never_a_mix(cas_service, demo_stor
     threads = [threading.Thread(target=issuer_loop) for _ in range(4)]
     for t in threads:
         t.start()
-    cas_service.handle_admin_load(peer(ADMIN), {"type": "admin_load", "commands": commands})
+    cas_service.handle_request(peer(ADMIN), {"type": "admin_load", "commands": commands})
     stop.set()
     for t in threads:
         t.join(timeout=10)
@@ -338,10 +338,27 @@ def test_oversized_frame_gets_protocol_error(cas_server):
         channel.recv_frame()  # the challenge
         sock.sendall(struct.pack(">I", wire.MAX_FRAME_BYTES + 1))
         frame = channel.recv_frame()
-        assert frame["type"] == "error"
+        assert frame["type"] == "response"
         assert frame["code"] == "protocol-error"
     finally:
         sock.close()
+
+
+def test_deeply_nested_auth_frame_gets_protocol_error(cas_server):
+    errors = []
+    cas_server.handle_error = lambda request, address: errors.append(address)
+    channel = wire.connect(cas_server.address, timeout=5)
+    try:
+        channel.recv_frame()  # the challenge
+        data = b"[" * 100_000
+        channel.send_bytes(struct.pack(">I", len(data)) + data)
+        assert channel.recv_frame() == {
+            "type": "response", "status": 400, "code": "protocol-error",
+            "message": "frame nests too deeply",
+        }
+    finally:
+        channel.close()
+    assert errors == []
 
 
 # -- configuration -----------------------------------------------------------------
@@ -375,7 +392,7 @@ def test_config_round_trip(tmp_path, trust_root, identities, cas_identity):
     assert service.store.subjects == frozenset()
 
     # A stored snapshot is picked up on the next start.
-    service.handle_admin_load(
+    service.handle_request(
         AuthenticatedPeer(ADMIN, b"\x00" * 32),
         {"type": "admin_load", "commands": DEMO_POLICY},
     )

@@ -201,6 +201,8 @@ def test_wildcard_role_grants_do_not_map():
         ("/home/data/../admin", "/home/admin"),
         ("/..", "/"),
         ("/a/./b", "/a/b"),
+        ("//home/data/f", "/home/data/f"),
+        ("//", "/"),
     ],
 )
 def test_canonical_path(raw, expect):
@@ -990,13 +992,31 @@ def test_protocol_errors_end_the_session_unaudited(refusal_env, identities, fram
             assert channel.recv_frame()["status"] == 200
         channel.send_frame(last)
         assert channel.recv_frame() == {
-            "type": "error", "status": 400, "code": "protocol-error", "message": message
+            "type": "response", "status": 400, "code": "protocol-error", "message": message
         }
         with pytest.raises(wire.ConnectionClosedError):
             channel.recv_frame()
     finally:
         channel.close()
     assert [line[7] for line in refusal_env.audit_lines()] == ["allow"] * len(allowed)
+
+
+@pytest.mark.parametrize("broken", ["bad-frame", "idle-timeout"])
+def test_transport_errors_get_protocol_error_before_close(refusal_env, identities, broken):
+    refusal_env.service.io_timeout = 0.5  # how long the idle session waits
+    channel = open_channel(refusal_env, identities, TULL)
+    try:
+        if broken == "bad-frame":
+            channel.send_bytes(b"\x00\x00\x00\x03{{{")
+        reply = channel.recv_frame()
+        assert {k: reply[k] for k in ("type", "status", "code")} == {
+            "type": "response", "status": 400, "code": "protocol-error"
+        }
+        with pytest.raises(wire.ConnectionClosedError):
+            channel.recv_frame()
+    finally:
+        channel.close()
+    assert refusal_env.audit_lines() == []
 
 
 def test_second_assertion_is_a_protocol_error(refusal_env, identities, cas_identity, now):

@@ -14,6 +14,7 @@ from vo_authz.wire import (
     ConnectionClosedError,
     FrameTooLarge,
     ProtocolError,
+    Refusal,
     Server,
     connect,
     parse_address,
@@ -89,6 +90,18 @@ def test_non_json_frame_rejected(pair):
         right.recv_frame()
 
 
+def test_deeply_nested_frame_rejected(pair):
+    left, right = pair
+    data = b"[" * 100_000
+    sender = threading.Thread(target=left.send_bytes, args=(struct.pack(">I", len(data)) + data,))
+    sender.start()
+    try:
+        with pytest.raises(ProtocolError):
+            right.recv_frame()
+    finally:
+        sender.join(timeout=5)
+
+
 def test_frame_without_type_rejected(pair):
     left, right = pair
     left.send_bytes(struct.pack(">I", 2) + b"{}")
@@ -157,7 +170,7 @@ def test_parse_address(text, expected):
     assert parse_address(text) == expected
 
 
-@pytest.mark.parametrize("text", ["localhost", "host:", "host:abc", ""])
+@pytest.mark.parametrize("text", ["localhost", "host:", "host:abc", "", ":70000", "h:65536"])
 def test_parse_address_rejects(text):
     with pytest.raises(ValueError):
         parse_address(text)
@@ -189,3 +202,33 @@ def test_tcp_connections_set_nodelay_on_both_ends():
         thread.join(timeout=5)
     assert not thread.is_alive()
     assert server_side and server_side[0]
+
+
+def test_server_answers_a_refusal_that_ends_the_session():
+    class Refuser:
+        io_timeout = 5.0
+
+        def handle_session(self, channel):
+            frame = channel.recv_frame()
+            raise Refusal(403, "no", "refused %s" % frame["type"], uncovered=[])
+
+    server = Server(("127.0.0.1", 0), Refuser())
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        client = connect(server.address, timeout=5.0)
+        try:
+            client.send_frame({"type": "hello"})
+            assert client.recv_frame() == {
+                "type": "response", "status": 403, "code": "no", "message": "refused hello",
+                "uncovered": [],
+            }
+            with pytest.raises(ConnectionClosedError):
+                client.recv_frame()
+        finally:
+            client.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
