@@ -13,6 +13,16 @@ and a writable flag under one export root; enforcement is the same
 two-layer check the real service would make, without OS account
 switching.
 
+An authorized path is resolved one component at a time from the export
+root, each directory opened relative to the one before it with
+``O_NOFOLLOW``, and the file is then opened relative to that last
+directory. So a symlink anywhere on the path is refused, and what was
+checked is what is served: a directory swapped for a symlink meanwhile
+cannot lead outside the root. A PUT writes a hidden temporary file
+(names starting with :data:`UPLOAD_PREFIX`, which LIST hides and client
+paths may not use) and publishes it with a hard link, so a GET sees the
+whole upload or none of it, and an existing name is never replaced.
+
 Every check raises :class:`Refusal`, and one step per session turns it
 into the audit line and the failure reply. So every LIST, GET and PUT,
 allowed or refused, and every failed mapping writes one audit line
@@ -25,10 +35,12 @@ answers them.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import posixpath
 import re
+import secrets
 import stat
 import sys
 import threading
@@ -69,6 +81,20 @@ GET_CHUNK_BYTES = 64 * 1024  # also the largest GET reply sent in one write
 DEFAULT_PORT = 2813
 
 _NO_VALUE = "-"  # audit column placeholder
+
+UPLOAD_PREFIX = ".vo-upload-"  # reserved for PUT's temporary files
+_DIR_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
+# O_NONBLOCK keeps a FIFO from stalling the open; reads of a regular
+# file are unaffected.
+_FILE_FLAGS = os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC
+_UPLOAD_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+_SYMLINK_MESSAGE = "symlinks are not served"
+# How each operation answers a name that is missing on the way.
+_MISSING = {
+    "LIST": (404, "not-found", "no such path"),
+    "GET": (404, "not-found", "no such file"),
+    "PUT": (404, "missing-parent", "no such directory"),
+}
 
 
 class MapFileError(ValueError):
@@ -348,21 +374,27 @@ class ResourceService:
 
     # -- filesystem ----------------------------------------------------------
 
-    def fs_path(self, virtual: str) -> str:
-        """Map a canonical virtual path into the export root.
+    def fs_path(self, virtual: str) -> tuple[int, str]:
+        """Open the directory that holds a canonical virtual path: ``(parent_fd, leaf)``.
 
-        The realpath of the result (or of its parent, for targets that
-        do not exist yet) must stay inside the export root, and the
-        target itself may not be a symlink.
+        Walks from the export root, opening each directory component
+        relative to the one before it with ``O_NOFOLLOW``; ``"/"`` is
+        the root itself, leaf ``"."``. The caller opens ``leaf``
+        relative to ``parent_fd`` and closes ``parent_fd``. Raises
+        :class:`PathError` for a symlink on the way or a reserved
+        name, and ``OSError`` for a missing or non-directory component.
         """
-        fs = os.path.join(self.export_root, virtual.lstrip("/"))
-        if os.path.islink(fs):
-            raise PathError("symlinks are not served")
-        probe = fs if os.path.exists(fs) else os.path.dirname(fs)
-        real = os.path.realpath(probe)
-        if real != self.export_root and not real.startswith(self.export_root + os.sep):
-            raise PathError("path escapes the export root")
-        return fs
+        if "/" + UPLOAD_PREFIX in virtual:
+            raise PathError("names starting with %s are reserved" % UPLOAD_PREFIX)
+        *dirs, leaf = virtual[1:].split("/")
+        fd = os.open(self.export_root, _DIR_FLAGS)
+        for name in dirs:
+            try:
+                child = _open_at(fd, name, _DIR_FLAGS)
+            finally:
+                os.close(fd)
+            fd = child
+        return fd, leaf or "."
 
     # -- session driving -------------------------------------------------------
 
@@ -481,8 +513,11 @@ class _Session:
         handler = {"LIST": self._list, "GET": self._get, "PUT": self._put}[op]
         return self._serve(channel, op, frame.get("path"), handler, frame)
 
-    def _authorize(self, op: str, raw_path) -> tuple[str, str]:
-        """Canonicalize, authorize and resolve a client path: ``(path, fs_path)``."""
+    def _authorize(self, op: str, raw_path) -> tuple[str, int, str]:
+        """Canonicalize, authorize and resolve a client path: ``(path, parent_fd, leaf)``.
+
+        The caller closes ``parent_fd``.
+        """
         service = self.service
         path = None  # a path that fails canonicalization is audited raw
         try:
@@ -497,29 +532,45 @@ class _Session:
                 service.public_root,
             )
             if verdict.allowed:
-                return path, service.fs_path(path)
+                return (path, *service.fs_path(path))
         except PathError as exc:
             raise Refusal(400, "bad-path", str(exc), path) from exc
+        except OSError:
+            raise Refusal(*_MISSING[op], path) from None
         if verdict.reason == "cas-rights":
             message = "no file right covers %s" % file_url(service.server_name, path)
         else:
             message = "denied by %s" % verdict.reason
         raise Refusal(403, verdict.reason, message, path)
 
+    def _open(self, op: str, raw_path, flags: int) -> tuple[str, int]:
+        """Authorize a client path and open it with ``flags``: ``(path, fd)``."""
+        path, parent, leaf = self._authorize(op, raw_path)
+        try:
+            return path, _open_at(parent, leaf, flags)
+        except PathError as exc:
+            raise Refusal(400, "bad-path", str(exc), path) from exc
+        except NotADirectoryError:  # only LIST opens with O_DIRECTORY
+            raise Refusal(404, "not-a-directory", "not a directory", path) from None
+        except OSError:
+            raise Refusal(*_MISSING[op], path) from None
+        finally:
+            os.close(parent)
+
     def _list(self, channel: wire.Channel, frame: dict) -> bool:
-        path, fs = self._authorize("LIST", frame.get("path"))
-        if not os.path.exists(fs):
-            raise Refusal(404, "not-found", "no such path", path)
-        if not os.path.isdir(fs):
-            raise Refusal(404, "not-a-directory", "not a directory", path)
-        entries = sorted(os.listdir(fs))
+        path, fd = self._open("LIST", frame.get("path"), _DIR_FLAGS)
+        try:
+            names = os.listdir(fd)
+        finally:
+            os.close(fd)
+        entries = sorted(name for name in names if not name.startswith(UPLOAD_PREFIX))
         self._audit("LIST", path, "ok")
         channel.send_frame(wire.reply(200, entries=entries))
         return True
 
     def _get(self, channel: wire.Channel, frame: dict) -> bool:
-        path, fs = self._authorize("GET", frame.get("path"))
-        opened = _open_regular_file(fs)
+        path, fd = self._open("GET", frame.get("path"), _FILE_FLAGS)
+        opened = _open_regular_file(fd)
         if opened is None:
             raise Refusal(404, "not-found", "no such file", path)
         handle, size = opened
@@ -552,16 +603,18 @@ class _Session:
             raise wire.ProtocolError("PUT needs a non-negative integer size")
         if size > MAX_PUT_BYTES:
             raise wire.ProtocolError("PUT payload exceeds %d bytes" % MAX_PUT_BYTES)
+        parent = None
         try:
-            path, fs = self._authorize("PUT", frame.get("path"))
+            path, parent, leaf = self._authorize("PUT", frame.get("path"))
+            _refuse_existing(parent, leaf, path)
+            temporary = UPLOAD_PREFIX + secrets.token_hex(8)
             try:
-                # O_EXCL makes "PUT never overwrites" race-free.
-                fd = os.open(fs, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            except FileExistsError:
-                raise Refusal(409, "exists", "refusing to overwrite", path) from None
-            except (FileNotFoundError, NotADirectoryError):
-                raise Refusal(404, "missing-parent", "no such directory", path) from None
+                fd = os.open(temporary, _UPLOAD_FLAGS, 0o644, dir_fd=parent)
+            except OSError:
+                raise Refusal(*_MISSING["PUT"], path) from None
         except Refusal:
+            if parent is not None:
+                os.close(parent)
             # The payload bytes follow the command frame unconditionally, so
             # a refusal must still drain them to keep the stream aligned.
             channel.recv_bytes_to(size, _NullSink())
@@ -569,14 +622,18 @@ class _Session:
         try:
             with os.fdopen(fd, "wb") as handle:
                 channel.recv_bytes_to(size, handle)
-        except wire.WireError:
-            _unlink_quietly(fs)
-            raise
+            # The name appears only once the whole upload is in place, and
+            # a link, unlike a rename, never replaces an existing name.
+            os.link(temporary, leaf, src_dir_fd=parent, dst_dir_fd=parent)
+        except FileExistsError:
+            raise Refusal(409, "exists", "refusing to overwrite", path) from None
         except OSError as exc:
             # A failed local write loses stream alignment; close after
             # reporting rather than guess how much payload remains.
-            _unlink_quietly(fs)
             raise Refusal(500, "internal", "write failed: %s" % exc, path) from exc
+        finally:
+            _unlink_quietly(parent, temporary)
+            os.close(parent)
         self._audit("PUT", path, "ok")
         channel.send_frame(wire.reply(200, size=size))
         return True
@@ -587,18 +644,48 @@ class _NullSink:
         pass
 
 
-def _open_regular_file(fs: str):
-    """Open ``fs`` for reading: ``(handle, size)``, or None unless a regular file.
+def _open_at(dir_fd: int, name: str, flags: int) -> int:
+    """``os.open(name, flags)`` relative to ``dir_fd``; flags include ``O_NOFOLLOW``.
 
-    The size comes from the open descriptor, so it describes the file
-    that is read. ``O_NOFOLLOW`` refuses a symlink put in place after
-    ``fs_path`` checked the path; ``O_NONBLOCK`` keeps a FIFO from
-    stalling the open and does not affect reads of a regular file.
+    Only when the open fails the way a symlink makes it fail (``ELOOP``,
+    or ``ENOTDIR`` under ``O_DIRECTORY``) is ``name`` looked at again,
+    to refuse a symlink with :class:`PathError` rather than report it
+    missing or not a directory.
     """
     try:
-        fd = os.open(fs, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+        return os.open(name, flags, dir_fd=dir_fd)
+    except OSError as exc:
+        if exc.errno in (errno.ELOOP, errno.ENOTDIR) and _is_symlink(dir_fd, name):
+            raise PathError(_SYMLINK_MESSAGE) from None
+        raise
+
+
+def _is_symlink(dir_fd: int, name: str) -> bool:
+    try:
+        return stat.S_ISLNK(os.lstat(name, dir_fd=dir_fd).st_mode)
     except OSError:
-        return None
+        return False
+
+
+def _refuse_existing(dir_fd: int, name: str, path: str) -> None:
+    """Refuse a PUT to a name that exists, before any payload is read."""
+    try:
+        mode = os.stat(name, dir_fd=dir_fd, follow_symlinks=False).st_mode
+    except OSError:
+        return  # creating the upload reports what is wrong
+    if stat.S_ISLNK(mode):
+        raise Refusal(400, "bad-path", _SYMLINK_MESSAGE, path)
+    raise Refusal(409, "exists", "refusing to overwrite", path)
+
+
+def _open_regular_file(fd: int):
+    """Take over ``fd``, opened for reading: ``(handle, size)``, or None unless a regular file.
+
+    The size comes from the open descriptor, so it describes the file
+    that is read. ``fd`` was opened relative to its directory with
+    ``O_NOFOLLOW``, so it is the file the path walk reached and not
+    the target of a symlink. When None is returned, ``fd`` is closed.
+    """
     try:
         info = os.fstat(fd)
         if stat.S_ISREG(info.st_mode):
@@ -615,9 +702,9 @@ def _audit_field(value: str) -> str:
     return _CONTROL_CHAR.sub("?", value)
 
 
-def _unlink_quietly(path: str) -> None:
+def _unlink_quietly(dir_fd: int, name: str) -> None:
     try:
-        os.unlink(path)
+        os.unlink(name, dir_fd=dir_fd)
     except OSError:
         pass
 

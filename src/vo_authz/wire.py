@@ -89,7 +89,7 @@ class Channel:
             sock.settimeout(timeout)
 
     def send_frame(self, message: dict) -> None:
-        self._sock.sendall(encode_frame(message))
+        self._send(encode_frame(message))
 
     def recv_frame(self) -> dict:
         header = self._recv_exact(4)
@@ -108,7 +108,7 @@ class Channel:
         return message
 
     def send_bytes(self, data: bytes) -> None:
-        self._sock.sendall(data)
+        self._send(data)
 
     def recv_bytes_to(self, size: int, writer) -> None:
         """Stream exactly ``size`` payload bytes into ``writer.write``."""
@@ -125,11 +125,24 @@ class Channel:
             pass
         self._sock.close()
 
+    # A socket error other than a timeout (a reset, a broken pipe) is the
+    # peer gone: a transport error like any other, not a server fault.
+
+    def _send(self, data: bytes) -> None:
+        try:
+            self._sock.sendall(data)
+        except socket.timeout as exc:
+            raise ChannelTimeout(str(exc)) from exc
+        except OSError as exc:
+            raise ConnectionClosedError("connection lost: %s" % exc) from exc
+
     def _recv_some(self, limit: int) -> bytes:
         try:
             chunk = self._sock.recv(limit)
         except socket.timeout as exc:
             raise ChannelTimeout(str(exc)) from exc
+        except OSError as exc:
+            raise ConnectionClosedError("connection lost: %s" % exc) from exc
         if not chunk:
             raise ConnectionClosedError("peer closed the connection")
         return chunk
@@ -181,7 +194,7 @@ class Server(socketserver.ThreadingTCPServer):
                 exc = Refusal(400, "protocol-error", str(exc))
             try:
                 channel.send_frame(exc.reply())
-            except OSError:
+            except WireError:
                 pass  # the peer has already gone
         finally:
             channel.close()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import random
 import threading
 import time
@@ -387,7 +388,8 @@ def _seeded_env(tmp_path, trust_root, cas_identity, clock, name):
         clock,
     )
     for account in ("admin", "data"):
-        with open(env.service.fs_path("/home/%s/seed.dat" % account), "wb") as handle:
+        seed = os.path.join(env.export_root, "home", account, "seed.dat")
+        with open(seed, "wb") as handle:
             handle.write(b"seed for " + account.encode())
     return env
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import statistics
@@ -216,11 +217,14 @@ def test_canonical_path_rejects(raw):
 
 
 def test_fs_path_refuses_symlinks(resource_env, tmp_path):
+    # Any symlink on the way is refused, even one that stays inside the root.
     outside = tmp_path / "outside.txt"
     outside.write_text("secret")
     os.symlink(outside, os.path.join(resource_env.export_root, "home/data/leak"))
-    with pytest.raises(PathError):
-        resource_env.service.fs_path("/home/data/leak")
+    os.symlink("../admin", os.path.join(resource_env.export_root, "home/data/alias"))
+    for path in ("/home/data/leak/x", "/home/data/alias/calib.db"):
+        with pytest.raises(PathError):
+            resource_env.service.fs_path(path)
 
 
 def test_fs_path_refuses_escaping_parent(resource_env, tmp_path):
@@ -229,9 +233,22 @@ def test_fs_path_refuses_escaping_parent(resource_env, tmp_path):
         resource_env.service.fs_path("/home/data/door/new.dat")
 
 
+def test_fs_path_refuses_reserved_names(resource_env):
+    for path in ("/home/data/.vo-upload-1", "/home/.vo-upload-x/f"):
+        with pytest.raises(PathError):
+            resource_env.service.fs_path(path)
+
+
 def test_fs_path_maps_into_export_root(resource_env):
-    fs = resource_env.service.fs_path("/home/data/run1.dat")
-    assert fs == os.path.join(resource_env.export_root, "home/data/run1.dat")
+    cases = [("/home/data/run1.dat", "home/data", "run1.dat"), ("/home", "", "home"), ("/", "", ".")]
+    for virtual, directory, leaf in cases:
+        parent, name = resource_env.service.fs_path(virtual)
+        try:
+            expected = os.stat(os.path.join(resource_env.export_root, directory))
+            assert os.path.samestat(os.fstat(parent), expected)
+            assert name == leaf
+        finally:
+            os.close(parent)
 
 
 # -- the two authorization layers ---------------------------------------------------
@@ -829,7 +846,13 @@ def send_command(channel, op, path):
         (ORWELL, (DATA_ROLE,), "GET", "/home/data/leak", 400, "bad-path",
          "symlinks are not served", "/home/data/leak"),
         (ORWELL, (DATA_ROLE,), "PUT", "/home/data/door/new.dat", 400, "bad-path",
-         "path escapes the export root", "/home/data/door/new.dat"),
+         "symlinks are not served", "/home/data/door/new.dat"),
+        (ORWELL, (DATA_ROLE,), "LIST", "/home/data/door", 400, "bad-path",
+         "symlinks are not served", "/home/data/door"),
+        (ORWELL, (DATA_ROLE,), "PUT", "/home/data/leak", 400, "bad-path",
+         "symlinks are not served", "/home/data/leak"),
+        (ORWELL, (DATA_ROLE,), "GET", "/home/data/.vo-upload-0", 400, "bad-path",
+         "names starting with .vo-upload- are reserved", "/home/data/.vo-upload-0"),
         (ORWELL, (DATA_ROLE, NARROW), "GET", "/public/readme.txt", 403, "cas-rights",
          "no file right covers ftp://%s/public/readme.txt" % SERVER_NAME,
          "/public/readme.txt"),
@@ -855,6 +878,7 @@ def send_command(channel, op, path):
     ],
     ids=[
         "bad-path-control-char", "bad-path-relative", "bad-path-symlink", "bad-path-escape",
+        "bad-path-symlink-list", "bad-path-symlink-put", "bad-path-reserved",
         "cas-rights-get", "cas-rights-put", "local-perms-get", "local-perms-put",
         "local-perms-personal", "not-found-list", "not-found-get", "not-a-directory",
         "exists", "missing-parent",
@@ -1032,3 +1056,167 @@ def test_second_assertion_is_a_protocol_error(refusal_env, identities, cas_ident
     finally:
         channel.close()
     assert refusal_env.audit_lines() == []
+
+
+# -- confinement and upload publishing ------------------------------------------------
+
+
+def test_get_never_follows_a_directory_swapped_in_after_the_walk(
+    resource_env, identities, cas_identity, now, tmp_path
+):
+    sub = os.path.join(resource_env.export_root, "home/data/sub")
+    os.mkdir(sub)
+    with open(os.path.join(sub, "f.dat"), "wb") as handle:
+        handle.write(b"inside bytes")
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "f.dat").write_bytes(b"outside bytes")
+    service = resource_env.service
+    fs_path = service.fs_path
+
+    def fs_path_then_swap(virtual):
+        resolved = fs_path(virtual)
+        os.rename(sub, sub + ".old")
+        os.symlink(outside, sub)
+        return resolved
+
+    service.fs_path = fs_path_then_swap
+    assertion = data_assertion(cas_identity, now)
+    with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
+        assert get_bytes(session, "/home/data/sub/f.dat") == b"inside bytes"
+        session.quit()
+
+
+def test_get_through_a_symlink_inside_the_root_is_bad_path(
+    resource_env, identities, cas_identity, now
+):
+    data = os.path.join(resource_env.export_root, "home/data")
+    os.mkdir(os.path.join(data, "inner"))
+    with open(os.path.join(data, "inner/f.dat"), "wb") as handle:
+        handle.write(b"reachable only by its own name")
+    os.symlink("inner", os.path.join(data, "alias"))
+    assertion = data_assertion(cas_identity, now)
+    with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
+        with pytest.raises(ServiceError) as exc:
+            get_bytes(session, "/home/data/alias/f.dat")
+        assert (exc.value.status, exc.value.code) == (400, "bad-path")
+        assert get_bytes(session, "/home/data/inner/f.dat") == b"reachable only by its own name"
+        session.quit()
+
+
+def recv_reply(channel):
+    """One command's reply; a GET's payload is read and dropped."""
+    reply = channel.recv_frame()
+    if reply["status"] == 200 and "entries" not in reply and "size" not in reply:
+        header = channel.recv_frame()
+        if header["type"] == "data_header":
+            channel.recv_bytes_to(header["size"], io.BytesIO())
+    return reply
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_commands_leave_no_open_descriptors(refusal_env, identities, cas_identity, now):
+    # A successful GET closes its file after the reply, so it goes first:
+    # each later reply shows the command before it has cleaned up.
+    commands = [
+        ("GET", "/home/data/run1.dat"),
+        ("LIST", "/home/data"),
+        ("PUT", "/home/data/new-%d.dat"),
+        ("LIST", "/home/da\tta"),
+        ("GET", "relative"),
+        ("GET", "/home/data/leak"),
+        ("PUT", "/home/data/door/new.dat"),
+        ("LIST", "/home/data/door"),
+        ("PUT", "/home/data/leak"),
+        ("GET", "/home/data/.vo-upload-0"),
+        ("GET", "/home/admin/calib.db"),
+        ("LIST", "/home/data/nosuch"),
+        ("GET", "/home/data/absent.dat"),
+        ("LIST", "/home/data/run1.dat"),
+        ("PUT", "/home/data/nosuch/f.dat"),
+        ("PUT", "/home/data/run1.dat"),
+    ]
+    assertion = make_assertion(*cas_identity, ORWELL, (DATA_ROLE,), now)
+    channel = open_channel(refusal_env, identities, ORWELL, assertion)
+    try:
+        counts = []
+        for round_number in range(51):
+            for op, path in commands:
+                send_command(channel, op, path.replace("%d", str(round_number)))
+                recv_reply(channel)
+            if round_number in (0, 50):
+                counts.append(len(os.listdir("/proc/self/fd")))
+        channel.send_frame({"type": "command", "op": "QUIT"})
+        assert channel.recv_frame()["status"] == 200
+    finally:
+        channel.close()
+    assert counts[0] == counts[1]
+
+
+def upload_names(env) -> list[str]:
+    names = os.listdir(os.path.join(env.export_root, "home/data"))
+    return sorted(name for name in names if name != "run1.dat")
+
+
+def start_put(env, identities, assertion, path, payload, sent):
+    """Send a PUT frame and ``sent`` payload bytes, and wait until the upload has a file."""
+    channel = open_channel(env, identities, ORWELL, assertion)
+    channel.send_frame({"type": "command", "op": "PUT", "path": path, "size": len(payload)})
+    channel.send_bytes(payload[:sent])
+    deadline = time.monotonic() + 5
+    while not upload_names(env):
+        assert time.monotonic() < deadline, "the upload never created a file"
+        time.sleep(0.01)
+    return channel
+
+
+def test_get_during_a_put_sees_nothing_until_the_whole_upload(
+    resource_env, identities, cas_identity, now
+):
+    payload = os.urandom(200_000)
+    assertion = data_assertion(cas_identity, now)
+    writer = start_put(
+        resource_env, identities, assertion, "/home/data/up.dat", payload, len(payload) // 2
+    )
+    try:
+        with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as reader:
+            with pytest.raises(ServiceError) as exc:
+                get_bytes(reader, "/home/data/up.dat")
+            assert (exc.value.status, exc.value.code) == (404, "not-found")
+            assert reader.ls("/home/data") == ["run1.dat"]  # the upload is hidden
+            writer.send_bytes(payload[len(payload) // 2:])
+            assert writer.recv_frame() == {"type": "response", "status": 200, "size": len(payload)}
+            assert get_bytes(reader, "/home/data/up.dat") == payload
+            assert reader.ls("/home/data") == ["run1.dat", "up.dat"]
+            reader.quit()
+    finally:
+        writer.close()
+    assert upload_names(resource_env) == ["up.dat"]
+
+
+def test_put_that_loses_the_race_for_a_name_never_replaces_it(
+    resource_env, identities, cas_identity, now
+):
+    assertion = data_assertion(cas_identity, now)
+    slow = start_put(resource_env, identities, assertion, "/home/data/once.dat", b"slow" * 1000, 2000)
+    try:
+        with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as fast:
+            fast.put("/home/data/once.dat", b"fast")
+            slow.send_bytes(b"slow" * 500)
+            reply = slow.recv_frame()
+            assert (reply["status"], reply["code"]) == (409, "exists")
+            assert get_bytes(fast, "/home/data/once.dat") == b"fast"
+            fast.quit()
+    finally:
+        slow.close()
+    assert upload_names(resource_env) == ["once.dat"]
+
+
+def test_dropped_upload_leaves_no_file(resource_env, identities, cas_identity, now):
+    assertion = data_assertion(cas_identity, now)
+    writer = start_put(resource_env, identities, assertion, "/home/data/gone.dat", b"x" * 5000, 2500)
+    writer.close()
+    deadline = time.monotonic() + 5
+    while upload_names(resource_env):
+        assert time.monotonic() < deadline, upload_names(resource_env)
+        time.sleep(0.01)

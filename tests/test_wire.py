@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import socket
 import struct
+import sys
 import threading
 
 import pytest
@@ -232,3 +233,92 @@ def test_server_answers_a_refusal_that_ends_the_session():
         server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+def serve_one_session(handle_session):
+    """Serve ``handle_session`` on a local port: ``(server, errors, finished, thread)``.
+
+    ``errors`` records every ``handle_error`` call; ``finished`` is set
+    once the server has closed a connection.
+    """
+
+    class Service:
+        io_timeout = 5.0
+
+    service = Service()
+    service.handle_session = handle_session
+    server = Server(("127.0.0.1", 0), service)
+    errors, finished = [], threading.Event()
+    server.handle_error = lambda request, address: errors.append(sys.exc_info()[1])
+    shutdown_request = server.shutdown_request
+
+    def shutdown_and_signal(request):
+        shutdown_request(request)
+        finished.set()
+
+    server.shutdown_request = shutdown_and_signal
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, errors, finished, thread
+
+
+def reset(channel):
+    """Close with ``SO_LINGER`` 0, so the peer sees a reset, not an orderly close."""
+    channel._sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    channel._sock.close()
+
+
+def stop(server, thread):
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_reset_mid_frame_is_a_transport_error():
+    seen = []
+
+    def read_a_frame(channel):
+        try:
+            channel.recv_frame()
+        except Exception as exc:
+            seen.append(exc)
+            raise
+
+    server, errors, finished, thread = serve_one_session(read_a_frame)
+    try:
+        client = connect(server.address, timeout=5.0)
+        client.send_bytes(struct.pack(">I", 100) + b"half a frame")
+        reset(client)
+        assert finished.wait(timeout=5)
+    finally:
+        stop(server, thread)
+    assert errors == []
+    assert len(seen) == 1 and isinstance(seen[0], ConnectionClosedError)
+
+
+def test_reset_mid_send_is_a_transport_error():
+    seen = []
+    started = threading.Event()
+
+    def stream(channel):
+        started.set()
+        block = b"x" * 1_048_576
+        try:
+            for _ in range(256):
+                channel.send_bytes(block)
+        except Exception as exc:
+            seen.append(exc)
+            raise
+
+    server, errors, finished, thread = serve_one_session(stream)
+    try:
+        client = connect(server.address, timeout=5.0)
+        assert started.wait(timeout=5)
+        client._sock.recv(4096)
+        reset(client)
+        assert finished.wait(timeout=5)
+    finally:
+        stop(server, thread)
+    assert errors == []
+    assert len(seen) == 1 and isinstance(seen[0], ConnectionClosedError)
