@@ -9,6 +9,7 @@ issue passphrase-protected identity files to users and service hosts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import getpass
 import json
 import os
@@ -24,7 +25,6 @@ from .credentials import (
     MalformedCredential,
     generate_keypair,
     identity_from_doc,
-    identity_payload,
     identity_to_doc,
     floor_to_second,
     private_key_from_pem,
@@ -45,16 +45,14 @@ def make_identity(
     not_after: datetime,
 ) -> IdentityCredential:
     """Sign an identity credential with the trust-root key."""
-    not_before = floor_to_second(not_before)
-    not_after = floor_to_second(not_after)
-    payload = identity_payload(subject, public_key, not_before, not_after)
-    return IdentityCredential(
+    unsigned = IdentityCredential(
         subject=subject,
         public_key=public_key,
-        not_before=not_before,
-        not_after=not_after,
-        signature=root_key.sign(payload),
+        not_before=floor_to_second(not_before),
+        not_after=floor_to_second(not_after),
+        signature=b"",
     )
+    return dataclasses.replace(unsigned, signature=root_key.sign(unsigned.signed_payload()))
 
 
 def issue_identity_keypair(
@@ -92,19 +90,13 @@ def load_identity_keypair(path: str, passphrase: Optional[bytes] = None
     return credential, private
 
 
-def write_owner_only(path: str, data: bytes) -> None:
-    """Write a file readable by its owner alone."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    with os.fdopen(fd, "wb") as fh:
-        fh.write(data)
-
-
 def write_atomically(path: str, data: bytes) -> None:
     """Replace ``path`` with an owner-only file holding ``data``.
 
     The data is synced under a temporary name and then renamed over
     ``path``, so readers see the old file or the new one. On failure the
-    temporary file is removed and ``path`` is untouched.
+    temporary file is removed and ``path`` is untouched. The new file is
+    0600 even when ``path`` existed with a wider mode.
     """
     tmp = "%s.tmp.%d" % (path, os.getpid())
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
@@ -119,13 +111,16 @@ def write_atomically(path: str, data: bytes) -> None:
         raise
 
 
+write_owner_only = write_atomically  # the same writer, under the name bench/workload.py calls
+
+
 def init_root(directory: str) -> tuple[str, str]:
     """Create a trust root: private key and public trust-root PEM."""
     os.makedirs(directory, exist_ok=True)
     private, public = generate_keypair()
     key_path = os.path.join(directory, ROOT_KEY_FILE)
     root_path = os.path.join(directory, TRUST_ROOT_FILE)
-    write_owner_only(key_path, private_key_to_pem(private).encode("ascii"))
+    write_atomically(key_path, private_key_to_pem(private).encode("ascii"))
     with open(root_path, "w", encoding="ascii") as fh:
         fh.write(public_key_to_pem(public))
     return key_path, root_path
@@ -177,7 +172,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 not_after=now + timedelta(days=args.days),
                 passphrase=passphrase or None,
             )
-            write_owner_only(args.out, json.dumps(doc, indent=2).encode("utf-8"))
+            write_atomically(args.out, json.dumps(doc, indent=2).encode("utf-8"))
             print("issued identity for %s -> %s" % (args.subject, args.out))
             if args.public_out:
                 public = {k: v for k, v in doc.items() if k != "private_key_pem"}

@@ -39,9 +39,8 @@ from .credentials import (
     utc_now,
 )
 from .engine import FilterDenied, filter_rights
-from .lineformat import parse_kv_config, split_quoted_list
+from .lineformat import LineError, parse_kv_config, split_quoted_list
 from .policy import (
-    CommandFileError,
     PolicyStore,
     RightsTuple,
     apply_command_file,
@@ -178,7 +177,7 @@ class CasService:
         with self._write_lock:
             try:
                 new_store, applied = apply_command_file(self._store, commands)
-            except CommandFileError as exc:
+            except LineError as exc:
                 raise wire.Refusal(400, "command-file-error", str(exc), line=exc.line) from exc
             if self.snapshot_path is not None:
                 # Persist first: a store the snapshot does not hold would
@@ -200,7 +199,7 @@ def _parse_requested_rights(value) -> list[RightsTuple]:
         raise wire.Refusal(400, "bad-request", "'rights' must be a list of rights tuples")
     try:
         return [RightsTuple.from_dict(item) for item in value]
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise wire.Refusal(400, "bad-request", "bad requested right: %s" % exc) from exc
 
 
@@ -254,7 +253,7 @@ def main(argv=None) -> int:
         address = wire.parse_address(config.listen)
         service = service_from_config(config)
         server = CasServer(address, service)
-    except (ValueError, OSError, CredentialError, CommandFileError) as exc:
+    except (ValueError, OSError, CredentialError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     server.run("issuance service for %s" % service.issuer.subject)

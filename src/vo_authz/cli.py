@@ -38,7 +38,7 @@ from .client import (
     store_tag,
 )
 from .credentials import CredentialError, format_timestamp
-from .engine import FilterFileError, parse_filter_file
+from .engine import parse_filter_file
 
 DEFAULT_CAS_ADDRESS = "localhost:9000"
 DEFAULT_RESOURCE_ADDRESS = "localhost:2813"
@@ -106,7 +106,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 file=sys.stderr,
             )
         return 1
-    except (ClientError, CredentialError, FilterFileError, wire.WireError, OSError, ValueError) as exc:
+    except (ClientError, CredentialError, wire.WireError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from datetime import datetime, timedelta
 from typing import Optional, Sequence
 
 from . import wire
-from .ca import load_identity_keypair, write_atomically, write_owner_only
+from .ca import load_identity_keypair, write_atomically
 from .credentials import (
     DEFAULT_LIFETIME_SECONDS,
     Assertion,
@@ -115,7 +115,7 @@ def identity_init(
         "session": session_to_doc(session),
         "private_key_pem": private_key_to_pem(session_private),
     }
-    write_owner_only(_session_path(directory), json.dumps(doc, indent=1).encode("utf-8"))
+    write_atomically(_session_path(directory), json.dumps(doc, indent=1).encode("utf-8"))
     return bundle
 
 

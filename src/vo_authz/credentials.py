@@ -22,7 +22,7 @@ import base64
 import json
 import re
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from typing import Callable, Mapping, Optional
@@ -42,7 +42,9 @@ CLOCK_SKEW = timedelta(seconds=300)  # how early a validity window may be entere
 DEFAULT_LIFETIME_SECONDS = 43200  # 12 hours, for sessions and assertions alike
 
 _SERIAL_RE = re.compile(r"[0-9a-f]{32}\Z")
-_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z\Z")
+# ASCII digits only: ``\d`` would also match other scripts' digits,
+# which ``int`` accepts.
+_TIMESTAMP_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z\Z")
 
 
 class CredentialError(Exception):
@@ -103,9 +105,11 @@ def format_timestamp(ts: datetime) -> str:
 
 
 def parse_timestamp(text: str) -> datetime:
-    if not isinstance(text, str) or not _TIMESTAMP_RE.match(text):
+    match = _TIMESTAMP_RE.match(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError("bad timestamp %r" % (text,))
-    return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    # The constructor rejects out-of-range fields (02-30, 24:00:00, :60, year 0).
+    return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
 
 
 def floor_to_second(ts: datetime) -> datetime:
@@ -241,6 +245,14 @@ def _validate_window_field(ts: datetime, name: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
+def _check_window(what: str, now: datetime, not_after: datetime, not_before: Optional[datetime] = None) -> None:
+    """Raise unless ``now`` is inside ``[not_before - CLOCK_SKEW, not_after)``."""
+    if not_before is not None and now < not_before - CLOCK_SKEW:
+        raise NotYetValid("%s not valid before %s" % (what, format_timestamp(not_before)))
+    if now >= not_after:
+        raise Expired("%s expired at %s" % (what, format_timestamp(not_after)))
+
+
 # -- identity and session credentials ---------------------------------------
 
 
@@ -264,17 +276,9 @@ class IdentityCredential:
             raise ValueError("not_before must precede not_after")
 
     def signed_payload(self) -> bytes:
-        return identity_payload(self.subject, self.public_key, self.not_before, self.not_after)
-
-
-def identity_payload(subject: str, public_key: bytes, not_before: datetime, not_after: datetime) -> bytes:
-    return canonical_json({
-        "kind": "identity",
-        "not_after": format_timestamp(not_after),
-        "not_before": format_timestamp(not_before),
-        "public_key": _b64(public_key),
-        "subject": subject,
-    })
+        doc = identity_to_doc(self)
+        del doc["signature"]
+        return canonical_json(doc)
 
 
 @dataclass(frozen=True)
@@ -297,16 +301,13 @@ class SessionCredential:
             )
 
     def signed_payload(self) -> bytes:
-        return delegation_payload(self.identity.subject, self.session_public_key, self.not_after)
-
-
-def delegation_payload(subject: str, session_public_key: bytes, not_after: datetime) -> bytes:
-    return canonical_json({
-        "kind": "session-delegation",
-        "not_after": format_timestamp(not_after),
-        "session_public_key": _b64(session_public_key),
-        "subject": subject,
-    })
+        """The delegation, which names the identity by its subject alone."""
+        return canonical_json({
+            "kind": "session-delegation",
+            "not_after": format_timestamp(self.not_after),
+            "session_public_key": _b64(self.session_public_key),
+            "subject": self.identity.subject,
+        })
 
 
 def delegate_session(
@@ -322,23 +323,15 @@ def delegate_session(
             "requested lifetime exceeds the identity window (identity expires %s)"
             % format_timestamp(identity.not_after)
         )
-    payload = delegation_payload(identity.subject, session_public_key, not_after)
-    return SessionCredential(
-        identity=identity,
-        session_public_key=session_public_key,
-        not_after=not_after,
-        delegation_signature=identity_private_key.sign(payload),
-    )
+    unsigned = SessionCredential(identity, session_public_key, not_after, delegation_signature=b"")
+    return replace(unsigned, delegation_signature=identity_private_key.sign(unsigned.signed_payload()))
 
 
 def verify_identity(credential: IdentityCredential, trust_root: bytes, now: datetime) -> None:
     """Check an identity credential against the trust root at time ``now``."""
     if not _verify(trust_root, credential.signature, credential.signed_payload()):
         raise BadSignature("identity credential signature does not verify")
-    if now < credential.not_before - CLOCK_SKEW:
-        raise NotYetValid("identity not valid before %s" % format_timestamp(credential.not_before))
-    if now >= credential.not_after:
-        raise Expired("identity expired at %s" % format_timestamp(credential.not_after))
+    _check_window("identity", now, credential.not_after, credential.not_before)
 
 
 def verify_session_chain(session: SessionCredential, trust_root: bytes, now: datetime) -> None:
@@ -346,8 +339,7 @@ def verify_session_chain(session: SessionCredential, trust_root: bytes, now: dat
     verify_identity(session.identity, trust_root, now)
     if not _verify(session.identity.public_key, session.delegation_signature, session.signed_payload()):
         raise BadSignature("session delegation signature does not verify")
-    if now >= session.not_after:
-        raise Expired("session expired at %s" % format_timestamp(session.not_after))
+    _check_window("session", now, session.not_after)
 
 
 @dataclass(frozen=True)
@@ -390,18 +382,13 @@ class AssertionBody:
             raise ValueError("issued_at must precede not_after")
         object.__setattr__(self, "rights", sort_rights(self.rights))
 
+    def signed_payload(self) -> bytes:
+        """Deterministic bytes: equal bodies encode identically."""
+        return canonical_json(_body_dict(self))
+
 
 def fresh_serial() -> str:
     return secrets.token_hex(16)
-
-
-def canonical_bytes(body: AssertionBody) -> bytes:
-    """Deterministic byte encoding of an assertion body.
-
-    Equal bodies encode to identical bytes; the encoding is the
-    key-sorted compact JSON of the body's fields.
-    """
-    return canonical_json(_body_dict(body))
 
 
 def _body_dict(body: AssertionBody) -> dict:
@@ -432,7 +419,7 @@ class VerifiedRights:
 
 
 def sign_assertion(body: AssertionBody, issuer_private_key: Ed25519PrivateKey) -> Assertion:
-    return Assertion(body=body, signature=issuer_private_key.sign(canonical_bytes(body)))
+    return Assertion(body=body, signature=issuer_private_key.sign(body.signed_payload()))
 
 
 def verify_assertion(
@@ -449,20 +436,51 @@ def verify_assertion(
     issuer_key = trusted_issuers.get(body.issuer)
     if issuer_key is None:
         raise UntrustedIssuer("issuer %r is not trusted" % body.issuer)
-    if not _verify(issuer_key, assertion.signature, canonical_bytes(body)):
+    if not _verify(issuer_key, assertion.signature, body.signed_payload()):
         raise BadSignature("assertion signature does not verify")
-    if now < body.issued_at - CLOCK_SKEW:
-        raise NotYetValid("assertion not valid before %s" % format_timestamp(body.issued_at))
-    if now >= body.not_after:
-        raise Expired("assertion expired at %s" % format_timestamp(body.not_after))
+    _check_window("assertion", now, body.not_after, body.issued_at)
     return VerifiedRights(issuer=body.issuer, subject=body.subject, rights=body.rights)
 
 
 # -- serialized documents ----------------------------------------------------
 #
 # A signed object is stored and transmitted as one JSON document: the
-# canonical body fields plus a base64 signature field. Parsers are
-# strict; unknown or missing fields reject the document.
+# canonical body fields plus a base64 signature field. Each document has
+# one field table naming every field and its JSON type, and its parser
+# checks the table once: unknown, missing or mistyped fields reject the
+# document, and a ``kind`` must be the table's string. Each rights entry
+# goes through ``RightsTuple.from_dict``, as a requested right does at
+# the issuance service. For an identity and an assertion the signed
+# payload is the document without its signature, encoded canonically; a
+# session's delegation signs its own payload
+# (``SessionCredential.signed_payload``).
+
+_ASSERTION_FIELDS = {"issued_at": str, "issuer": str, "not_after": str, "rights": list,
+                     "serial": str, "subject": str, "version": int, "signature": str}
+_IDENTITY_FIELDS = {"kind": "identity", "subject": str, "public_key": str,
+                    "not_before": str, "not_after": str, "signature": str}
+_SESSION_FIELDS = {"kind": "session", "identity": dict, "session_public_key": str,
+                   "not_after": str, "delegation_signature": str}
+
+
+def _fields(doc, schema: Mapping[str, object], what: str) -> dict:
+    """Return ``doc`` if it has exactly ``schema``'s fields, each as typed.
+
+    A schema value is a type, which the field's value must have exactly
+    (so ``true`` is no ``int``), or a string the value must equal.
+    """
+    if not isinstance(doc, dict):
+        raise MalformedCredential("%s document must be a JSON object" % what)
+    if doc.keys() != schema.keys():
+        raise MalformedCredential("%s document has wrong fields: %r" % (what, sorted(doc)))
+    for name, want in schema.items():
+        value = doc[name]
+        if isinstance(want, str):
+            if value != want:
+                raise MalformedCredential("%s field %r must be %r" % (what, name, want))
+        elif type(value) is not want:
+            raise MalformedCredential("%s field %r must be %s" % (what, name, want.__name__))
+    return doc
 
 
 def assertion_to_doc(assertion: Assertion) -> dict:
@@ -472,22 +490,17 @@ def assertion_to_doc(assertion: Assertion) -> dict:
 
 
 def assertion_from_doc(doc) -> Assertion:
-    if not isinstance(doc, dict):
-        raise MalformedCredential("assertion document must be a JSON object")
-    expected = {"issued_at", "issuer", "not_after", "rights", "serial", "subject", "version", "signature"}
-    if set(doc) != expected:
-        raise MalformedCredential("assertion document has wrong fields: %r" % sorted(doc))
+    doc = _fields(doc, _ASSERTION_FIELDS, "assertion")
     signature = _unb64(doc["signature"], "signature")
     try:
-        rights = tuple(RightsTuple.from_dict(r) for r in _require_list(doc["rights"]))
         body = AssertionBody(
-            issuer=_require_str(doc["issuer"], "issuer"),
-            subject=_require_str(doc["subject"], "subject"),
-            serial=_require_str(doc["serial"], "serial"),
+            issuer=doc["issuer"],
+            subject=doc["subject"],
+            serial=doc["serial"],
             issued_at=parse_timestamp(doc["issued_at"]),
             not_after=parse_timestamp(doc["not_after"]),
-            rights=rights,
-            version=doc["version"] if isinstance(doc["version"], int) else -1,
+            rights=tuple(RightsTuple.from_dict(r) for r in doc["rights"]),
+            version=doc["version"],
         )
     except ValueError as exc:
         raise MalformedCredential("bad assertion body: %s" % exc) from exc
@@ -508,14 +521,10 @@ def identity_to_doc(credential: IdentityCredential) -> dict:
 
 
 def identity_from_doc(doc) -> IdentityCredential:
-    if not isinstance(doc, dict) or doc.get("kind") != "identity":
-        raise MalformedCredential("not an identity credential document")
-    expected = {"kind", "subject", "public_key", "not_before", "not_after", "signature"}
-    if set(doc) != expected:
-        raise MalformedCredential("identity document has wrong fields: %r" % sorted(doc))
+    doc = _fields(doc, _IDENTITY_FIELDS, "identity")
     try:
         return IdentityCredential(
-            subject=_require_str(doc["subject"], "subject"),
+            subject=doc["subject"],
             public_key=_unb64(doc["public_key"], "public_key"),
             not_before=parse_timestamp(doc["not_before"]),
             not_after=parse_timestamp(doc["not_after"]),
@@ -536,11 +545,7 @@ def session_to_doc(session: SessionCredential) -> dict:
 
 
 def session_from_doc(doc) -> SessionCredential:
-    if not isinstance(doc, dict) or doc.get("kind") != "session":
-        raise MalformedCredential("not a session credential document")
-    expected = {"kind", "identity", "session_public_key", "not_after", "delegation_signature"}
-    if set(doc) != expected:
-        raise MalformedCredential("session document has wrong fields: %r" % sorted(doc))
+    doc = _fields(doc, _SESSION_FIELDS, "session")
     try:
         return SessionCredential(
             identity=identity_from_doc(doc["identity"]),
@@ -550,18 +555,6 @@ def session_from_doc(doc) -> SessionCredential:
         )
     except ValueError as exc:
         raise MalformedCredential("bad session credential: %s" % exc) from exc
-
-
-def _require_str(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise MalformedCredential("%s must be a string" % what)
-    return value
-
-
-def _require_list(value) -> list:
-    if not isinstance(value, list):
-        raise MalformedCredential("rights must be a list")
-    return value
 
 
 # -- challenge-response handshake --------------------------------------------

@@ -44,14 +44,6 @@ class FilterDenied(Exception):
         super().__init__("requested rights not granted: %s" % listing)
 
 
-class FilterFileError(ValueError):
-    """A rights-filter file failed to parse."""
-
-    def __init__(self, line: int, reason: str):
-        super().__init__("line %d: %s" % (line, reason))
-        self.line = line
-
-
 @dataclass(frozen=True)
 class Decision:
     """Outcome of an authorization check.
@@ -165,5 +157,5 @@ def parse_filter_file(text: str) -> list[RightsTuple]:
             raise ValueError("bad match mode %r" % fields[3])
         tuples.append(RightsTuple(*fields))
 
-    for_each_line(text, parse, FilterFileError)
+    for_each_line(text, parse)
     return tuples

@@ -97,14 +97,6 @@ _MISSING = {
 }
 
 
-class MapFileError(ValueError):
-    """A role-map, grid-map, or account-table file failed to parse."""
-
-    def __init__(self, line: int, reason: str):
-        super().__init__("line %d: %s" % (line, reason))
-        self.line = line
-
-
 class MappingError(Exception):
     """No account mapping exists for this session."""
 
@@ -151,7 +143,7 @@ def parse_role_map(text: str) -> tuple[tuple[str, str], ...]:
             raise ValueError("expected <vo>/<role> <account>")
         entries.append((validate_role_name(fields[0]), _validate_account(fields[1])))
 
-    for_each_line(text, parse, MapFileError)
+    for_each_line(text, parse)
     return tuple(entries)
 
 
@@ -169,7 +161,7 @@ def parse_grid_map(text: str) -> dict[str, tuple[str, ...]]:
         merged = entries.get(dn, ()) + tuple(accounts)
         entries[dn] = tuple(dict.fromkeys(merged))
 
-    for_each_line(text, parse, MapFileError)
+    for_each_line(text, parse)
     return entries
 
 
@@ -195,7 +187,7 @@ def parse_account_table(text: str) -> dict[str, AccountInfo]:
             home=canonical_path(fields[1]), writable=fields[2] == "rw"
         )
 
-    for_each_line(text, parse, MapFileError)
+    for_each_line(text, parse)
     return table
 
 
@@ -335,7 +327,11 @@ class AuditLog:
 
 
 class ResourceService:
-    """Session state machine plus the immutable maps it consults."""
+    """Session state machine plus the immutable maps it consults.
+
+    The service opens its own audit log at ``audit_path``; whoever made
+    the service closes it with ``audit_log.close()``.
+    """
 
     io_timeout = IO_TIMEOUT_SECONDS
 
@@ -348,7 +344,7 @@ class ResourceService:
         account_table: Mapping[str, AccountInfo],
         trusted_issuers: Mapping[str, bytes],
         trust_root: bytes,
-        audit_log: AuditLog,
+        audit_path: str,
         public_root: Optional[str] = None,
         clock: Clock = utc_now,
     ):
@@ -368,9 +364,10 @@ class ResourceService:
         self.account_table = dict(account_table)
         self.trusted_issuers = dict(trusted_issuers)
         self.trust_root = trust_root
-        self.audit_log = audit_log
         self.public_root = canonical_path(public_root) if public_root else None
         self.clock = clock
+        # Opened last, so that a failed check above leaves nothing open.
+        self.audit_log = AuditLog(audit_path)
 
     # -- filesystem ----------------------------------------------------------
 
@@ -790,7 +787,7 @@ def service_from_config(config: FileServiceConfig, clock: Clock = utc_now) -> Re
         account_table=account_table,
         trusted_issuers=trusted,
         trust_root=trust_root,
-        audit_log=AuditLog(config.audit_file),
+        audit_path=config.audit_file,
         public_root=config.public_root,
         clock=clock,
     )

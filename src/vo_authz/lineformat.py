@@ -17,6 +17,14 @@ class LineFormatError(ValueError):
     """A line could not be tokenized (unterminated quote, stray text)."""
 
 
+class LineError(ValueError):
+    """A line of a config, map, filter or command file failed to parse."""
+
+    def __init__(self, line: int, reason: str):
+        super().__init__("line %d: %s" % (line, reason))
+        self.line = line
+
+
 # One field per match, scanning left to right; whitespace between fields
 # matches nothing and is skipped. ``\s`` is exactly ``str.isspace``. A
 # quoted field must end at whitespace, ``#`` or the end of the line; a
@@ -53,11 +61,11 @@ def quote_field(value: str) -> str:
     return value
 
 
-def for_each_line(text: str, handle_line, error, catch=ValueError) -> None:
+def for_each_line(text: str, handle_line, catch=ValueError) -> None:
     """Call ``handle_line(fields)`` for every non-empty, non-comment line.
 
     A tokenizer error, or a ``catch`` exception from ``handle_line``, is
-    re-raised as ``error(line_number, reason)`` (line numbers from 1).
+    re-raised as :class:`LineError` (line numbers from 1), caused by it.
     """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
@@ -65,7 +73,7 @@ def for_each_line(text: str, handle_line, error, catch=ValueError) -> None:
             if fields:
                 handle_line(fields)
         except catch as exc:
-            raise error(lineno, str(exc)) from exc
+            raise LineError(lineno, str(exc)) from exc
 
 
 def parse_kv_config(text: str) -> dict[str, str]:

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping
 
-from .lineformat import for_each_line, quote_field
+from .lineformat import LineError, for_each_line, quote_field
 
 TOKEN_RE = re.compile(r"[a-z][a-z0-9_-]*\Z")
 ROLE_PART_RE = re.compile(r"[a-zA-Z0-9][a-zA-Z0-9._-]*\Z")
@@ -39,14 +39,6 @@ class PolicyError(Exception):
 class UnregisteredError(PolicyError):
     """A grant referenced a subject, service type, action, or object
     that the store does not know."""
-
-
-class CommandFileError(PolicyError):
-    """A command file failed to load; nothing was applied."""
-
-    def __init__(self, line: int, reason: str):
-        super().__init__("line %d: %s" % (line, reason))
-        self.line = line
 
 
 _UNREPRESENTABLE_IN_DN = re.compile(r'["\x00-\x1f]')  # a quote or a control character
@@ -116,17 +108,15 @@ class RightsTuple:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "RightsTuple":
-        if set(data) != {"service_type", "action", "target", "match_mode"}:
+    def from_dict(cls, data) -> "RightsTuple":
+        """Parse a JSON rights entry: an object of exactly the four string fields."""
+        if not isinstance(data, dict):
+            raise ValueError("a rights tuple must be a JSON object")
+        if data.keys() != {"service_type", "action", "target", "match_mode"}:
             raise ValueError("bad rights tuple fields: %r" % sorted(data))
-        if not all(isinstance(v, str) for v in data.values()):
+        if not all(type(v) is str for v in data.values()):
             raise ValueError("rights tuple fields must be strings")
-        return cls(
-            service_type=data["service_type"],  # type: ignore[arg-type]
-            action=data["action"],  # type: ignore[arg-type]
-            target=data["target"],  # type: ignore[arg-type]
-            match_mode=data["match_mode"],  # type: ignore[arg-type]
-        )
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -268,7 +258,7 @@ def apply_command_file(store: PolicyStore, text: str) -> tuple[PolicyStore, int]
     """Apply a command file atomically.
 
     Returns the new store and the number of commands applied. Any error
-    raises :class:`CommandFileError` naming the offending line, and the
+    raises :class:`LineError` naming the offending line, and the
     caller's store is untouched: the commands edit one private working
     copy, frozen into a new store once at the end.
     """
@@ -280,7 +270,7 @@ def apply_command_file(store: PolicyStore, text: str) -> tuple[PolicyStore, int]
         _apply_command(builder, fields)
         applied += 1
 
-    for_each_line(text, apply, CommandFileError, catch=(PolicyError, ValueError))
+    for_each_line(text, apply, catch=(PolicyError, ValueError))
     return builder.freeze(), applied
 
 
@@ -347,7 +337,7 @@ def load_snapshot(data: bytes) -> PolicyStore:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CommandFileError(0, "snapshot is not UTF-8") from exc
+        raise LineError(0, "snapshot is not UTF-8") from exc
     store, _ = apply_command_file(PolicyStore(), text)
     return store
 

@@ -15,7 +15,6 @@ from vo_authz.credentials import (
 )
 from vo_authz.file_server import (
     AccountInfo,
-    AuditLog,
     FileServer,
     ResourceService,
 )
@@ -172,7 +171,7 @@ class ResourceEnv:
             },
             trusted_issuers=trusted_issuers,
             trust_root=trust_root_public,
-            audit_log=AuditLog(self.audit_path),
+            audit_path=self.audit_path,
             public_root=public_root,
             clock=clock,
         )

@@ -5,13 +5,29 @@ code paths it checks: the glob matcher is a plain recursive backtracker
 (no regex), the canonical encoder builds its JSON by string concatenation,
 the grant/rescind model is a bare set of pairs, and the field splitter
 is a character-by-character scanner.
+
+The signed-document parsers at the end are the other kind of oracle: the
+package's earlier parsers (one field check per parser, rights entries
+checked by set and ``isinstance``, timestamps through ``strptime``),
+frozen as they were, so that a differential test can show the single
+field-table parser accepts the same documents.
 """
 
 from __future__ import annotations
 
+import base64
+import re
 from datetime import datetime, timezone
 
+from vo_authz.credentials import (
+    Assertion,
+    AssertionBody,
+    IdentityCredential,
+    MalformedCredential,
+    SessionCredential,
+)
 from vo_authz.lineformat import LineFormatError
+from vo_authz.policy import RightsTuple
 
 
 def glob_match(pattern: str, target: str) -> bool:
@@ -133,3 +149,106 @@ def split_fields(line: str) -> list[str]:
                 i += 1
             fields.append(line[start:i])
     return fields
+
+
+# -- frozen signed-document parsers ----------------------------------------------
+
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z\Z")
+
+
+def parse_timestamp(text: str) -> datetime:
+    if not isinstance(text, str) or not _TIMESTAMP_RE.match(text):
+        raise ValueError("bad timestamp %r" % (text,))
+    return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+
+
+def _unb64(text, what: str) -> bytes:
+    if not isinstance(text, str):
+        raise MalformedCredential("%s must be base64 text" % what)
+    try:
+        decoded = base64.b64decode(text, validate=True)
+    except (ValueError, TypeError) as exc:
+        raise MalformedCredential("%s is not valid base64" % what) from exc
+    if base64.b64encode(decoded).decode("ascii") != text:
+        raise MalformedCredential("%s is not canonical base64" % what)
+    return decoded
+
+
+def _right_from_dict(data) -> RightsTuple:
+    if set(data) != {"service_type", "action", "target", "match_mode"}:
+        raise ValueError("bad rights tuple fields: %r" % sorted(data))
+    if not all(isinstance(v, str) for v in data.values()):
+        raise ValueError("rights tuple fields must be strings")
+    return RightsTuple(data["service_type"], data["action"], data["target"], data["match_mode"])
+
+
+def _require_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise MalformedCredential("%s must be a string" % what)
+    return value
+
+
+def _require_list(value) -> list:
+    if not isinstance(value, list):
+        raise MalformedCredential("rights must be a list")
+    return value
+
+
+def assertion_from_doc(doc) -> Assertion:
+    if not isinstance(doc, dict):
+        raise MalformedCredential("assertion document must be a JSON object")
+    expected = {"issued_at", "issuer", "not_after", "rights", "serial", "subject", "version", "signature"}
+    if set(doc) != expected:
+        raise MalformedCredential("assertion document has wrong fields: %r" % sorted(doc))
+    signature = _unb64(doc["signature"], "signature")
+    try:
+        rights = tuple(_right_from_dict(r) for r in _require_list(doc["rights"]))
+        body = AssertionBody(
+            issuer=_require_str(doc["issuer"], "issuer"),
+            subject=_require_str(doc["subject"], "subject"),
+            serial=_require_str(doc["serial"], "serial"),
+            issued_at=parse_timestamp(doc["issued_at"]),
+            not_after=parse_timestamp(doc["not_after"]),
+            rights=rights,
+            version=doc["version"] if isinstance(doc["version"], int) else -1,
+        )
+    except ValueError as exc:
+        raise MalformedCredential("bad assertion body: %s" % exc) from exc
+    if [r.as_dict() for r in body.rights] != doc["rights"]:
+        raise MalformedCredential("assertion rights are not in canonical order")
+    return Assertion(body=body, signature=signature)
+
+
+def identity_from_doc(doc) -> IdentityCredential:
+    if not isinstance(doc, dict) or doc.get("kind") != "identity":
+        raise MalformedCredential("not an identity credential document")
+    expected = {"kind", "subject", "public_key", "not_before", "not_after", "signature"}
+    if set(doc) != expected:
+        raise MalformedCredential("identity document has wrong fields: %r" % sorted(doc))
+    try:
+        return IdentityCredential(
+            subject=_require_str(doc["subject"], "subject"),
+            public_key=_unb64(doc["public_key"], "public_key"),
+            not_before=parse_timestamp(doc["not_before"]),
+            not_after=parse_timestamp(doc["not_after"]),
+            signature=_unb64(doc["signature"], "signature"),
+        )
+    except ValueError as exc:
+        raise MalformedCredential("bad identity credential: %s" % exc) from exc
+
+
+def session_from_doc(doc) -> SessionCredential:
+    if not isinstance(doc, dict) or doc.get("kind") != "session":
+        raise MalformedCredential("not a session credential document")
+    expected = {"kind", "identity", "session_public_key", "not_after", "delegation_signature"}
+    if set(doc) != expected:
+        raise MalformedCredential("session document has wrong fields: %r" % sorted(doc))
+    try:
+        return SessionCredential(
+            identity=identity_from_doc(doc["identity"]),
+            session_public_key=_unb64(doc["session_public_key"], "session_public_key"),
+            not_after=parse_timestamp(doc["not_after"]),
+            delegation_signature=_unb64(doc["delegation_signature"], "delegation_signature"),
+        )
+    except ValueError as exc:
+        raise MalformedCredential("bad session credential: %s" % exc) from exc

@@ -38,8 +38,8 @@ from vo_authz.file_server import (
     authorize_file_op,
     map_to_account,
 )
+from vo_authz.lineformat import LineError
 from vo_authz.policy import (
-    CommandFileError,
     PolicyStore,
     RightsTuple,
     apply_command_file,
@@ -477,10 +477,10 @@ def test_criterion_8_store_determinism(demo_store):
     injections = 0
     for position in range(len(lines) + 1):
         script = lines[:position] + ["grant nobody member atlas/data"] + lines[position:]
-        with pytest.raises(CommandFileError) as exc:
+        with pytest.raises(LineError) as exc:
             apply_command_file(PolicyStore(), "\n".join(script) + "\n")
         assert exc.value.line == position + 1
-        with pytest.raises(CommandFileError):
+        with pytest.raises(LineError):
             apply_command_file(store, "\n".join(script) + "\n")
         assert hashlib.sha256(save_snapshot(store)).hexdigest() == base_hash
         injections += 1

@@ -128,7 +128,14 @@ def test_bad_lifetime_rejected(cas_service, lifetime):
 
 @pytest.mark.parametrize(
     "rights",
-    ["not-a-list", [{"service_type": "group"}], [{"service_type": "group", "action": "member", "target": "atlas/admin", "match_mode": "glob"}]],
+    [
+        "not-a-list",
+        [{"service_type": "group"}],
+        [{"service_type": "group", "action": "member", "target": "atlas/admin", "match_mode": "glob"}],
+        [5],
+        [["service_type", "action", "target", "match_mode"]],
+        [{"service_type": "group", "action": "member", "target": "atlas/admin", "match_mode": True}],
+    ],
 )
 def test_bad_requested_rights_rejected(cas_service, rights):
     response = issue(cas_service, TULL, rights=rights)

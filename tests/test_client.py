@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from vo_authz import cli, wire
+from vo_authz import ca, cli, wire
 from vo_authz.ca import issue_identity_keypair, write_owner_only
 from vo_authz.cas_server import CasServer, CasService
 from vo_authz.client import (
@@ -90,6 +90,25 @@ def test_identity_init_round_trip(home):
     assert loaded.session.not_after == bundle.session.not_after
     mode = os.stat(os.path.join(home.dir, "session.json")).st_mode & 0o777
     assert mode == 0o600
+
+
+def test_private_files_are_owner_only_even_over_a_wider_file(home, tmp_path, monkeypatch):
+    root_dir = tmp_path / "root"
+    root_dir.mkdir()
+    identity_out = tmp_path / "new-user.json"
+    targets = [root_dir / ca.ROOT_KEY_FILE, identity_out, tmp_path / "cred" / "session.json"]
+    for path in targets:
+        path.write_text("left over\n")
+        path.chmod(0o644)
+    ca.init_root(str(root_dir))
+    monkeypatch.setenv("VO_TEST_PASSPHRASE", "hunter2")
+    assert ca.main([
+        "issue-identity", "--dir", str(root_dir), "--subject", "/O=doesciencegrid.org/CN=New User 1",
+        "--out", str(identity_out), "--passphrase-env", "VO_TEST_PASSPHRASE",
+    ]) == 0
+    identity_init(home.dir)
+    for path in targets:
+        assert path.stat().st_mode & 0o777 == 0o600, path
 
 
 def test_identity_init_rejects_expired_identity(home, tmp_path):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import base64
+import copy
 import dataclasses
 import json
+import random
 import socket
 import threading
 from datetime import datetime, timedelta, timezone
@@ -14,6 +16,7 @@ from vo_authz import wire
 from vo_authz.ca import make_identity
 from vo_authz.policy import WILDCARD, RightsTuple
 
+from . import oracles
 from .conftest import CAS_DN, TULL
 from .oracles import canonical_assertion_bytes
 
@@ -60,7 +63,7 @@ def sample_body(**overrides) -> creds.AssertionBody:
 
 
 def test_canonical_bytes_matches_frozen_vector():
-    assert creds.canonical_bytes(sample_body()) == FROZEN_CANONICAL
+    assert sample_body().signed_payload() == FROZEN_CANONICAL
 
 
 def test_oracle_encoder_matches_frozen_vector():
@@ -80,7 +83,7 @@ def test_oracle_encoder_matches_frozen_vector():
 
 def test_canonical_bytes_independent_of_rights_input_order():
     shuffled = sample_body(rights=tuple(reversed(SAMPLE_RIGHTS)))
-    assert creds.canonical_bytes(shuffled) == FROZEN_CANONICAL
+    assert shuffled.signed_payload() == FROZEN_CANONICAL
 
 
 def test_body_normalizes_duplicate_rights():
@@ -90,11 +93,11 @@ def test_body_normalizes_duplicate_rights():
 
 def test_canonical_bytes_keeps_non_ascii_as_utf8():
     body = sample_body(subject="/O=doesciencegrid.org/CN=Grå 1")
-    assert "Grå".encode("utf-8") in creds.canonical_bytes(body)
+    assert "Grå".encode("utf-8") in body.signed_payload()
 
 
 def test_equal_bodies_encode_identically():
-    assert creds.canonical_bytes(sample_body()) == creds.canonical_bytes(sample_body())
+    assert sample_body().signed_payload() == sample_body().signed_payload()
 
 
 # -- timestamps ----------------------------------------------------------------
@@ -736,3 +739,218 @@ def test_utc_now_is_aware_whole_seconds():
     ts = creds.utc_now()
     assert ts.tzinfo is not None
     assert ts.microsecond == 0
+
+
+# -- differential: field-table parsers against the frozen ones ----------------------
+#
+# Seeded mutations of valid documents go through both the package's parsers
+# and the earlier ones frozen in oracles.py. Both must return equal objects or
+# both raise MalformedCredential, with three deliberate differences, each a
+# refusal where the old parser did otherwise:
+#
+# * a bool ``version``: the old parser let ``true`` pass as 1;
+# * a rights entry that is not a JSON object: the old parser crashed on it;
+# * a timestamp with a digit that is not ASCII: ``strptime`` takes any
+#   Unicode digit in the year and in some other places, so the old parser
+#   accepted a second spelling of a signed document.
+
+JSON_VALUES = (None, True, False, 0, 1, -1, 2**70, 1.0, 0.5, "", "x", "1", [], [1], ["x"], {}, {"a": 1})
+BAD_TIMESTAMPS = (
+    "٢٠٠٣-٠٣-١٩T٠٨:٣٠:٥٣Z",  # Arabic-Indic digits
+    "２００３-03-19T08:30:53Z",  # fullwidth digits in the year
+    "2003-03-1९T08:30:53Z",  # one Devanagari digit
+    "2003-02-30T08:30:53Z",
+    "2003-02-29T08:30:53Z",
+    "2003-13-01T08:30:53Z",
+    "2003-00-10T08:30:53Z",
+    "2003-03-00T08:30:53Z",
+    "2003-03-19T24:00:00Z",
+    "2003-03-19T08:60:00Z",
+    "2003-03-19T08:30:60Z",
+    "2003-03-19T08:30:61Z",
+    "0000-03-19T08:30:53Z",
+    "2003-03-19T08:30:53z",
+    "2003-03-19t08:30:53Z",
+    "2003-03-19T08:30:53Z\n",
+    " 2003-03-19T08:30:53Z",
+    "2003-03-19T08:30:53",
+)
+GOOD_TIMESTAMPS = ("2004-02-29T00:00:00Z", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "1999-12-31T23:59:59Z")
+SUBJECTS = (TULL, CAS_DN, "/O=doesciencegrid.org/CN=Grå 1", "/DC=org/DC=x/CN=a=b")
+RIGHTS_POOL = (
+    RightsTuple("file", "read", "ftp://pdsfgrid3.nersc.gov/*", WILDCARD),
+    RightsTuple("file", "write", "ftp://pdsfgrid3.nersc.gov/home/data/*", WILDCARD),
+    RightsTuple("file", "read", "ftp://pdsfgrid3.nersc.gov/public/readme.txt"),
+    RightsTuple("group", "member", "atlas/admin"),
+    RightsTuple("group", "member", "atlas/data"),
+    RightsTuple("group", "member", "cms/data"),
+)
+
+
+def outcome(parse, doc):
+    """``("ok", result)``, ``("malformed",)`` or ``("crash", exception type)``."""
+    try:
+        return ("ok", parse(copy.deepcopy(doc)))
+    except creds.MalformedCredential:
+        return ("malformed",)
+    except Exception as exc:  # the frozen parsers crash on some shapes
+        return ("crash", type(exc).__name__)
+
+
+def noncanonical_base64(text: str) -> list[str]:
+    """Encodings of the same bytes that a strict parser must refuse."""
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    out = [text.rstrip("="), text + "\n", " " + text, text.replace("+", "-").replace("/", "_")]
+    if text.endswith("="):
+        index = len(text.rstrip("=")) - 1
+        slack = alphabet[alphabet.index(text[index]) ^ 0x1]
+        out.append(text[:index] + slack + text[index + 1:])
+    return [variant for variant in out if variant != text]
+
+
+def value_mutations(doc: dict, rng: random.Random):
+    """Dropped, added, retyped and reshaped fields of one document level."""
+    for name in doc:
+        yield {k: v for k, v in doc.items() if k != name}
+        for value in JSON_VALUES:
+            yield dict(doc, **{name: value})
+        if isinstance(doc[name], str):
+            yield dict(doc, **{name: doc[name] + rng.choice(("x", " ", "=", "é"))})
+    yield dict(doc, extra=rng.choice(JSON_VALUES))
+    for name in ("not_before", "not_after", "issued_at"):
+        if name in doc:
+            for text in BAD_TIMESTAMPS + GOOD_TIMESTAMPS:
+                yield dict(doc, **{name: text})
+    for name in ("signature", "public_key", "session_public_key", "delegation_signature"):
+        if name in doc:
+            for text in noncanonical_base64(doc[name]):
+                yield dict(doc, **{name: text})
+    if "kind" in doc:
+        for kind in ("identity", "session", "session-bundle", "assertion", "Identity", ""):
+            yield dict(doc, kind=kind)
+
+
+def rights_mutations(doc: dict, rng: random.Random):
+    rights = doc["rights"]
+    yield dict(doc, rights=rights[::-1])
+    yield dict(doc, rights=rights + rights)
+    yield dict(doc, rights=rights[:1] * 2 + rights[1:])
+    yield dict(doc, rights=[])
+    exact = [r for r in rights if r["match_mode"] == "exact"]
+    if exact:
+        # A wildcard with no ``*`` normalizes to exact, so it is not canonical.
+        yield dict(doc, rights=[dict(r, match_mode="wildcard") if r is exact[0] else r for r in rights])
+    for index in range(len(rights)):
+        for value in JSON_VALUES + (list(rights[index]), list(rights[index].values())):
+            changed = list(rights)
+            changed[index] = value
+            yield dict(doc, rights=changed)
+        for name in rights[index]:
+            for value in JSON_VALUES + ("WILDCARD", "a b", "*"):
+                changed = list(rights)
+                changed[index] = dict(rights[index], **{name: value})
+                yield dict(doc, rights=changed)
+            changed = list(rights)
+            changed[index] = {k: v for k, v in rights[index].items() if k != name}
+            yield dict(doc, rights=changed)
+
+
+def has_non_ascii_timestamp(doc) -> bool:
+    if not isinstance(doc, dict):
+        return False
+    stamps = [doc.get(name) for name in ("not_before", "not_after", "issued_at")]
+    return any(isinstance(t, str) and not t.isascii() for t in stamps) or has_non_ascii_timestamp(
+        doc.get("identity")
+    )
+
+
+def assert_agrees(parse, frozen, doc):
+    new, old = outcome(parse, doc), outcome(frozen, doc)
+    if old[0] == "crash":
+        assert new == ("malformed",), (doc, new, old)
+    elif isinstance(doc, dict) and type(doc.get("version")) is bool:
+        assert new == ("malformed",), (doc, new, old)
+        assert old[0] == "malformed" or doc["version"] is True, (doc, old)
+    elif has_non_ascii_timestamp(doc):
+        assert new == ("malformed",), (doc, new, old)
+    else:
+        assert new == old, (doc, new, old)
+    return new[0]
+
+
+def random_window(rng: random.Random) -> tuple[datetime, datetime]:
+    start = datetime(2003, 3, 19, tzinfo=UTC) + timedelta(seconds=rng.randrange(10**8))
+    return start, start + timedelta(seconds=rng.randrange(1, 10**7))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parsers_agree_with_the_frozen_parsers(trust_root, seed):
+    rng = random.Random(seed)
+    root_private = trust_root[0]
+    not_before, not_after = random_window(rng)
+    identity_private, identity_public = creds.generate_keypair()
+    identity = make_identity(root_private, rng.choice(SUBJECTS), identity_public, not_before, not_after)
+    session = creds.delegate_session(
+        identity, identity_private, creds.generate_keypair()[1], not_after - timedelta(seconds=rng.randrange(2))
+    )
+    body = creds.AssertionBody(
+        issuer=rng.choice(SUBJECTS),
+        subject=rng.choice(SUBJECTS),
+        serial=creds.fresh_serial(),
+        issued_at=not_before,
+        not_after=not_after,
+        rights=tuple(rng.sample(RIGHTS_POOL, rng.randint(1, len(RIGHTS_POOL)))),
+    )
+    assertion = creds.sign_assertion(body, identity_private)
+
+    identity_doc = creds.identity_to_doc(identity)
+    session_doc = creds.session_to_doc(session)
+    assertion_doc = creds.assertion_to_doc(assertion)
+    assert creds.identity_from_doc(identity_doc) == identity
+    assert creds.session_from_doc(session_doc) == session
+    assert creds.assertion_from_doc(assertion_doc) == assertion
+
+    results = []
+    for doc in [identity_doc, *value_mutations(identity_doc, rng), session_doc]:
+        results.append(assert_agrees(creds.identity_from_doc, oracles.identity_from_doc, doc))
+    for doc in value_mutations(session_doc, rng):
+        results.append(assert_agrees(creds.session_from_doc, oracles.session_from_doc, doc))
+    for inner in value_mutations(identity_doc, rng):
+        doc = dict(session_doc, identity=inner)
+        results.append(assert_agrees(creds.session_from_doc, oracles.session_from_doc, doc))
+    for doc in [*value_mutations(assertion_doc, rng), *rights_mutations(assertion_doc, rng)]:
+        results.append(assert_agrees(creds.assertion_from_doc, oracles.assertion_from_doc, doc))
+    for doc in (None, [], "x", 7, [assertion_doc], {}):
+        for parse, frozen in (
+            (creds.identity_from_doc, oracles.identity_from_doc),
+            (creds.session_from_doc, oracles.session_from_doc),
+            (creds.assertion_from_doc, oracles.assertion_from_doc),
+        ):
+            results.append(assert_agrees(parse, frozen, doc))
+    # The mutations reach both outcomes, not only refusals.
+    assert results.count("ok") > 10 and results.count("malformed") > 500
+
+
+def random_timestamp_text(rng: random.Random) -> str:
+    # Each field ranges a little past its valid values.
+    fields = tuple(rng.randrange(limit) for limit in (10000, 15, 33, 26, 62, 62))
+    text = "%04d-%02d-%02dT%02d:%02d:%02dZ" % fields
+    if rng.random() < 0.2:
+        index = rng.randrange(len(text))
+        text = text[:index] + rng.choice("0٣９x: Z") + text[index + 1:]
+    return text
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_timestamp_agrees_with_strptime(seed):
+    rng = random.Random(seed)
+    texts = [random_timestamp_text(rng) for _ in range(2000)] + list(BAD_TIMESTAMPS + GOOD_TIMESTAMPS)
+    texts += [None, 20030319, b"2003-03-19T08:30:53Z"]
+    for text in texts:
+        got = outcome(creds.parse_timestamp, text)
+        want = outcome(oracles.parse_timestamp, text)
+        # A refusal is a ValueError, which outcome() reports as a crash.
+        if isinstance(text, str) and not text.isascii():
+            assert got == ("crash", "ValueError"), (text, got)
+        else:
+            assert got == want, (text, got, want)

@@ -7,7 +7,6 @@ import pytest
 from vo_authz.engine import (
     Decision,
     FilterDenied,
-    FilterFileError,
     check_right,
     covers,
     filter_rights,
@@ -15,6 +14,7 @@ from vo_authz.engine import (
     parse_filter_file,
     roles_in,
 )
+from vo_authz.lineformat import LineError
 from vo_authz.policy import EXACT, WILDCARD, RightsTuple
 
 from .oracles import glob_match
@@ -225,16 +225,16 @@ def test_parse_filter_file():
 
 
 def test_parse_filter_file_rejects_wrong_arity():
-    with pytest.raises(FilterFileError) as exc:
+    with pytest.raises(LineError) as exc:
         parse_filter_file("group member atlas/admin\n")
     assert exc.value.line == 1
 
 
 def test_parse_filter_file_rejects_bad_mode():
-    with pytest.raises(FilterFileError):
+    with pytest.raises(LineError):
         parse_filter_file("group member atlas/admin glob\n")
 
 
 def test_parse_filter_file_rejects_bad_tuple():
-    with pytest.raises(FilterFileError):
+    with pytest.raises(LineError):
         parse_filter_file("Group member atlas/admin exact\n")

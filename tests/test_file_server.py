@@ -26,7 +26,6 @@ from vo_authz.file_server import (
     AuditError,
     AuditLog,
     MAX_PUT_BYTES,
-    MapFileError,
     MappingError,
     PathError,
     ResourceService,
@@ -37,6 +36,7 @@ from vo_authz.file_server import (
     parse_grid_map,
     parse_role_map,
 )
+from vo_authz.lineformat import LineError
 from vo_authz.policy import RightsTuple
 
 from .conftest import (
@@ -73,7 +73,7 @@ def test_parse_role_map_keeps_file_order():
     ["atlas/admin", "atlas/admin admin extra", "no-slash admin", "atlas/admin Admin", "atlas/admin 9abc"],
 )
 def test_parse_role_map_rejects(line):
-    with pytest.raises(MapFileError) as exc:
+    with pytest.raises(LineError) as exc:
         parse_role_map("atlas/data data\n%s\n" % line)
     assert exc.value.line == 2
 
@@ -88,7 +88,7 @@ def test_parse_grid_map_merges_and_dedupes():
     ['"%s"' % CAS_DN, '"%s" data admin' % CAS_DN, '"%s" ,' % CAS_DN, '"%s" Data' % CAS_DN, '"not-a-dn" data'],
 )
 def test_parse_grid_map_rejects(line):
-    with pytest.raises(MapFileError):
+    with pytest.raises(LineError):
         parse_grid_map(line + "\n")
 
 
@@ -111,7 +111,7 @@ def test_parse_account_table():
     ],
 )
 def test_parse_account_table_rejects(text):
-    with pytest.raises(MapFileError):
+    with pytest.raises(LineError):
         parse_account_table(text)
 
 
@@ -350,13 +350,15 @@ def test_service_rejects_unknown_accounts(tmp_path, trust_root, clock):
         account_table={"data": AccountInfo("/home/data", True)},
         trusted_issuers={},
         trust_root=trust_root[1],
-        audit_log=AuditLog(str(tmp_path / "a.log")),
+        audit_path=str(tmp_path / "a.log"),
         clock=clock,
     )
     with pytest.raises(ValueError):
         ResourceService(role_map=(("atlas/x", "ghost"),), grid_map={}, **common)
     with pytest.raises(ValueError):
         ResourceService(role_map=(), grid_map={TULL: ("ghost",)}, **common)
+    # A refused service opened no audit log.
+    assert not (tmp_path / "a.log").exists()
 
 
 def test_service_requires_export_directory(tmp_path, trust_root, clock):
@@ -369,9 +371,10 @@ def test_service_requires_export_directory(tmp_path, trust_root, clock):
             account_table={},
             trusted_issuers={},
             trust_root=trust_root[1],
-            audit_log=AuditLog(str(tmp_path / "a.log")),
+            audit_path=str(tmp_path / "a.log"),
             clock=clock,
         )
+    assert not (tmp_path / "a.log").exists()
 
 
 def test_service_from_config_round_trip(tmp_path, trust_root, identities, clock):
@@ -929,10 +932,24 @@ def map_refusal_assertion(kind, issuers, now):
     return make_assertion(*cas, WELLS, (), now)
 
 
+def malformed_assertion_document(kind, issuers, now):
+    """A genuine signed assertion's document, changed so it does not parse."""
+    document = assertion_to_doc(make_assertion(*issuers[CAS_DN], ORWELL, (DATA_ROLE,), now))
+    if kind == "bad-assertion/version-true":
+        return dict(document, version=True)
+    if kind == "bad-assertion/non-ascii-digit":
+        return dict(document, issued_at="\uff12" + document["issued_at"][1:])  # fullwidth 2
+    assert kind == "bad-assertion/rights-not-objects"
+    return dict(document, rights=[5])
+
+
 @pytest.mark.parametrize(
     "kind, subject, status, issuer",
     [
         ("bad-assertion", ORWELL, 400, "-"),
+        ("bad-assertion/version-true", ORWELL, 400, "-"),
+        ("bad-assertion/non-ascii-digit", ORWELL, 400, "-"),
+        ("bad-assertion/rights-not-objects", ORWELL, 400, "-"),
         ("untrusted-issuer", ORWELL, 401, ROGUE_CAS_DN),
         ("bad-signature", ORWELL, 401, CAS_DN),
         ("expired", ORWELL, 401, CAS_DN),
@@ -945,17 +962,20 @@ def map_refusal_assertion(kind, issuers, now):
 def test_assertion_refusal_is_audited_answered_and_ends_the_session(
     refusal_env, identities, now, kind, subject, status, issuer
 ):
+    code = kind.partition("/")[0]
     channel = open_channel(refusal_env, identities, subject)
     try:
         if kind == "bad-assertion":
             document = {"issuer": CAS_DN}
+        elif code == "bad-assertion":
+            document = malformed_assertion_document(kind, refusal_env.issuers, now)
         else:
             assertion = map_refusal_assertion(kind, refusal_env.issuers, now)
             document = assertion_to_doc(assertion)
         channel.send_frame({"type": "present_assertion", "assertion": document})
         reply = channel.recv_frame()
         assert {k: reply[k] for k in ("type", "status", "code")} == {
-            "type": "response", "status": status, "code": kind
+            "type": "response", "status": status, "code": code
         }
         assert set(reply) == {"type", "status", "code", "message"}
         with pytest.raises(wire.ConnectionClosedError):
@@ -963,7 +983,7 @@ def test_assertion_refusal_is_audited_answered_and_ends_the_session(
     finally:
         channel.close()
     assert refusal_env.audit_lines() == [
-        [STAMP, subject, issuer, "-", "-", "MAP", "-", "deny", kind]
+        [STAMP, subject, issuer, "-", "-", "MAP", "-", "deny", code]
     ]
 
 

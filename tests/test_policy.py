@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from vo_authz.lineformat import LineError
 from vo_authz.policy import (
     EXACT,
     WILDCARD,
-    CommandFileError,
     PolicyError,
     PolicyStore,
     RightsTuple,
@@ -39,7 +39,7 @@ def run(store: PolicyStore, *lines: str) -> PolicyStore:
 
 def rule_error(store: PolicyStore, *lines: str) -> Exception:
     """The rule error that fails ``lines`` as one command file."""
-    with pytest.raises(CommandFileError) as exc:
+    with pytest.raises(LineError) as exc:
         apply_command_file(store, "".join(line + "\n" for line in lines))
     return exc.value.__cause__
 
@@ -258,14 +258,14 @@ def test_apply_empty_text():
 
 def test_unknown_action_names_line_one():
     store = base_store()
-    with pytest.raises(CommandFileError) as exc:
+    with pytest.raises(LineError) as exc:
         apply_command_file(store, 'grant "%s" fly atlas/admin exact\n' % TULL)
     assert exc.value.line == 1
 
 
 def test_error_line_number_counts_comments_and_blanks():
     text = "# header\n\nservicetype group member\nbogus verb here\n"
-    with pytest.raises(CommandFileError) as exc:
+    with pytest.raises(LineError) as exc:
         apply_command_file(PolicyStore(), text)
     assert exc.value.line == 4
 
@@ -277,7 +277,7 @@ def test_failed_apply_is_atomic():
         'grant "%s" member atlas/data\n'
         'grant "%s" member atlas/data\n'  # unregistered subject: error
     ) % (TULL, ORWELL)
-    with pytest.raises(CommandFileError) as exc:
+    with pytest.raises(LineError) as exc:
         apply_command_file(store, text)
     assert exc.value.line == 3
     # The caller's store is a value; the partial progress is unreachable.
@@ -286,7 +286,7 @@ def test_failed_apply_is_atomic():
 
 
 def test_unterminated_quote_is_an_error():
-    with pytest.raises(CommandFileError) as exc:
+    with pytest.raises(LineError) as exc:
         apply_command_file(PolicyStore(), 'user "/O=x/CN=A\n')
     assert exc.value.line == 1
 
@@ -299,12 +299,12 @@ def test_grant_default_mode_is_exact():
 
 def test_grant_rejects_bad_mode_token():
     store = base_store()
-    with pytest.raises(CommandFileError):
+    with pytest.raises(LineError):
         apply_command_file(store, 'grant "%s" member atlas/admin glob\n' % TULL)
 
 
 def test_servicetype_rejects_duplicate_action_list():
-    with pytest.raises(CommandFileError):
+    with pytest.raises(LineError):
         apply_command_file(PolicyStore(), "servicetype file read,read\n")
 
 
@@ -342,12 +342,12 @@ def test_truncated_snapshot_errors(demo_store):
     data = save_snapshot(demo_store)
     cut = data.rfind(b'"')
     assert cut > 0
-    with pytest.raises(CommandFileError):
+    with pytest.raises(LineError):
         load_snapshot(data[:cut])
 
 
 def test_non_utf8_snapshot_errors():
-    with pytest.raises(CommandFileError):
+    with pytest.raises(LineError):
         load_snapshot(b"\xff\xfe")
 
 
@@ -484,7 +484,7 @@ def test_random_edits_and_command_files_agree_with_model(seed):
             assert applied == len(ops)
             model = trial
         else:
-            with pytest.raises(CommandFileError) as exc:
+            with pytest.raises(LineError) as exc:
                 apply_command_file(store, text)
             assert exc.value.line == bad_line
         assert_matches_model(store, model)
@@ -515,7 +515,7 @@ def test_batches_rebuild_only_the_subjects_they_name(seed):
         text = "".join(op_line(op) + "\n" for op in ops)
 
         old, old_rights = store, dict(store.rights)
-        with pytest.raises(CommandFileError):
+        with pytest.raises(LineError):
             apply_command_file(old, text + "bogus verb\n")
         assert old.rights == old_rights
 
@@ -544,7 +544,7 @@ def test_failed_command_file_leaves_indexes_and_service_types_untouched(demo_sto
         "object file ftp://h/x\n"
         "bogus verb here\n"
     ) % TULL
-    with pytest.raises(CommandFileError) as exc:
+    with pytest.raises(LineError) as exc:
         apply_command_file(demo_store, text)
     assert exc.value.line == 6
     assert dict(demo_store.service_types) == before_types
