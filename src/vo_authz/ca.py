@@ -14,6 +14,7 @@ import getpass
 import json
 import os
 import sys
+import tempfile
 from datetime import datetime, timedelta
 from typing import Optional
 
@@ -93,13 +94,16 @@ def load_identity_keypair(path: str, passphrase: Optional[bytes] = None
 def write_atomically(path: str, data: bytes) -> None:
     """Replace ``path`` with an owner-only file holding ``data``.
 
-    The data is synced under a temporary name and then renamed over
-    ``path``, so readers see the old file or the new one. On failure the
-    temporary file is removed and ``path`` is untouched. The new file is
-    0600 even when ``path`` existed with a wider mode.
+    The data is synced under a fresh temporary name and then renamed
+    over ``path``, so readers see the old file or the new one. On failure
+    the temporary file is removed and ``path`` is untouched. The new file
+    is 0600 even when ``path`` existed with a wider mode. The temporary
+    file is created with ``O_EXCL`` under a random name, so a leftover
+    file cannot lend it its mode, and concurrent writers of one path
+    never share it.
     """
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(prefix=name + ".tmp.", dir=directory or ".")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

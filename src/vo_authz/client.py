@@ -233,11 +233,13 @@ def _reply(channel: wire.Channel) -> dict:
     return frame
 
 
-def _open(address: tuple[str, int], bundle: SessionBundle, timeout: float) -> wire.Channel:
-    """Connect and answer the service's challenge."""
+def _open(
+    address: tuple[str, int], bundle: SessionBundle, timeout: float, request: Optional[dict] = None
+) -> wire.Channel:
+    """Connect and answer the service's challenge, sending ``request`` with the answer."""
     channel = wire.connect(address, timeout=timeout)
     try:
-        answer_challenge(channel, bundle)
+        answer_challenge(channel, bundle, request)
     except BaseException:
         channel.close()
         raise
@@ -246,9 +248,8 @@ def _open(address: tuple[str, int], bundle: SessionBundle, timeout: float) -> wi
 
 def _call(address: tuple[str, int], bundle: SessionBundle, request: dict, timeout: float) -> dict:
     """One request on its own connection: the issuance service's protocol."""
-    channel = _open(address, bundle, timeout)
+    channel = _open(address, bundle, timeout, request)
     try:
-        channel.send_frame(request)
         return _reply(channel)
     finally:
         channel.close()
@@ -296,11 +297,13 @@ class ResourceSession:
     ):
         self.account: Optional[str] = None
         self.via: Optional[str] = None
-        self._channel = _open(address, bundle, timeout)
+        request = None
         if assertion is not None:
             request = {"type": "present_assertion", "assertion": assertion_to_doc(assertion)}
+        self._channel = _open(address, bundle, timeout, request)
+        if request is not None:
             try:
-                frame = self._ask(request)
+                frame = _reply(self._channel)
             except BaseException:
                 self.close()
                 raise
@@ -331,10 +334,8 @@ class ResourceSession:
         return size
 
     def put(self, path: str, data: bytes) -> None:
-        self._channel.send_frame(
-            {"type": "command", "op": "PUT", "path": path, "size": len(data)}
-        )
-        self._channel.send_bytes(data)
+        command = {"type": "command", "op": "PUT", "path": path, "size": len(data)}
+        self._channel.send_frames(command, payload=data)
         _reply(self._channel)
 
     def quit(self) -> None:

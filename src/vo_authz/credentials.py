@@ -603,17 +603,25 @@ def authenticate_peer(channel, trust_root: bytes, now: datetime) -> Authenticate
     )
 
 
-def answer_challenge(channel, bundle: SessionBundle) -> None:
-    """Run the prover side: consume the challenge, send the auth frame."""
+def answer_challenge(channel, bundle: SessionBundle, request: Optional[dict] = None) -> None:
+    """Run the prover side: consume the challenge, send the auth frame.
+
+    A first ``request``, if given, leaves in the same write as the auth
+    frame.
+    """
     frame = channel.recv_frame()
+    if frame["type"] == "response":  # refused before the challenge, as 503 busy is
+        raise HandshakeError(str(frame.get("code")), str(frame.get("message")))
     if frame["type"] != "challenge":
         raise HandshakeError("protocol", "expected challenge frame, got %r" % frame["type"])
     nonce = _unb64(frame.get("nonce"), "nonce")
-    channel.send_frame({
+    auth = {
         "type": "auth",
         "session": session_to_doc(bundle.session),
         "nonce_signature": _b64(bundle.private_key.sign(nonce + AUTH_CONTEXT)),
-    })
+    }
+    frames = [auth] if request is None else [auth, request]
+    channel.send_frames(*frames)
 
 
 Clock = Callable[[], datetime]

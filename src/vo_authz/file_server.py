@@ -77,7 +77,6 @@ ACCOUNT_RE = re.compile(r"[a-z_][a-z0-9_-]*\Z")
 _CONTROL_CHAR = re.compile(r"[\x00-\x1f]")
 IO_TIMEOUT_SECONDS = 30.0
 MAX_PUT_BYTES = 64 * 1024 * 1024
-GET_CHUNK_BYTES = 64 * 1024  # also the largest GET reply sent in one write
 DEFAULT_PORT = 2813
 
 _NO_VALUE = "-"  # audit column placeholder
@@ -567,31 +566,30 @@ class _Session:
 
     def _get(self, channel: wire.Channel, frame: dict) -> bool:
         path, fd = self._open("GET", frame.get("path"), _FILE_FLAGS)
-        opened = _open_regular_file(fd)
-        if opened is None:
-            raise Refusal(404, "not-found", "no such file", path)
-        handle, size = opened
-        with handle:
+        try:
+            size = _regular_file_size(fd)
+            if size is None:
+                raise Refusal(404, "not-found", "no such file", path)
             self._audit("GET", path, "ok")
             # Exactly the declared size goes out, however the file changes
             # meanwhile; if it yields fewer bytes, the session ends.
-            want = min(size, GET_CHUNK_BYTES)
-            first = handle.read(want)
+            want = min(size, wire.CHUNK_BYTES)
+            first = os.read(fd, want)
             if len(first) < want:
                 return False
             # A reply of up to one chunk leaves in a single write.
-            channel.send_bytes(
-                wire.encode_frame(wire.reply(200))
-                + wire.encode_frame({"type": "data_header", "size": size})
-                + first
+            channel.send_frames(
+                wire.reply(200), {"type": "data_header", "size": size}, payload=first
             )
             remaining = size - len(first)
             while remaining:
-                chunk = handle.read(min(remaining, GET_CHUNK_BYTES))
+                chunk = os.read(fd, min(remaining, wire.CHUNK_BYTES))
                 if not chunk:
                     return False
                 channel.send_bytes(chunk)
                 remaining -= len(chunk)
+        finally:
+            os.close(fd)
         return True
 
     def _put(self, channel: wire.Channel, frame: dict) -> bool:
@@ -617,8 +615,7 @@ class _Session:
             channel.recv_bytes_to(size, _NullSink())
             raise
         try:
-            with os.fdopen(fd, "wb") as handle:
-                channel.recv_bytes_to(size, handle)
+            channel.recv_bytes_to(size, _FileWriter(fd))
             # The name appears only once the whole upload is in place, and
             # a link, unlike a rename, never replaces an existing name.
             os.link(temporary, leaf, src_dir_fd=parent, dst_dir_fd=parent)
@@ -629,6 +626,7 @@ class _Session:
             # reporting rather than guess how much payload remains.
             raise Refusal(500, "internal", "write failed: %s" % exc, path) from exc
         finally:
+            os.close(fd)
             _unlink_quietly(parent, temporary)
             os.close(parent)
         self._audit("PUT", path, "ok")
@@ -639,6 +637,18 @@ class _Session:
 class _NullSink:
     def write(self, data: bytes) -> None:
         pass
+
+
+class _FileWriter:
+    """``write`` straight to a file descriptor, with no buffer in between."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+
+    def write(self, data: bytes) -> None:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(self._fd, view):]
 
 
 def _open_at(dir_fd: int, name: str, flags: int) -> int:
@@ -675,22 +685,19 @@ def _refuse_existing(dir_fd: int, name: str, path: str) -> None:
     raise Refusal(409, "exists", "refusing to overwrite", path)
 
 
-def _open_regular_file(fd: int):
-    """Take over ``fd``, opened for reading: ``(handle, size)``, or None unless a regular file.
+def _regular_file_size(fd: int) -> Optional[int]:
+    """The size of the file open at ``fd``, or None unless it is a regular file.
 
     The size comes from the open descriptor, so it describes the file
     that is read. ``fd`` was opened relative to its directory with
     ``O_NOFOLLOW``, so it is the file the path walk reached and not
-    the target of a symlink. When None is returned, ``fd`` is closed.
+    the target of a symlink.
     """
     try:
         info = os.fstat(fd)
-        if stat.S_ISREG(info.st_mode):
-            return os.fdopen(fd, "rb"), info.st_size
     except OSError:
-        pass
-    os.close(fd)
-    return None
+        return None
+    return info.st_size if stat.S_ISREG(info.st_mode) else None
 
 
 def _audit_field(value: str) -> str:

@@ -10,23 +10,35 @@ Every answer from a service is one :func:`reply` frame of type
 ``response``; a refusal is raised as a :class:`Refusal` and carries its
 reply (``code``, ``message`` and any extra fields).
 
-Both services run on :class:`Server`: accept, hand the framed channel
-to the service's ``handle_session``, answer a refusal or a transport
-error that ends the session, close. TCP sockets on both ends set
+Both services run on :class:`Server`: accept, hand the connection to
+an idle worker thread, which gives the framed channel to the service's
+``handle_session``, answers a refusal or a transport error that ends
+the session, and closes. Workers are reused from one connection to the
+next; past :attr:`Server.max_workers` busy workers a connection is
+answered 503 ``busy`` and closed. TCP sockets on both ends set
 ``TCP_NODELAY``: a reply written as a frame plus payload in separate
 small writes would otherwise wait on the peer's delayed ACK.
+
+A :class:`Channel` reads the socket in chunks of up to 64 KiB into its
+own buffer, so one read usually yields a whole frame, and a frame with
+the payload written after it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import queue
 import socket
 import socketserver
 import struct
 import sys
+import threading
 
 MAX_FRAME_BYTES = 1_048_576
-_CHUNK = 65536
+# The most one socket read takes, and the largest payload that leaves
+# in one write with the frames before it.
+CHUNK_BYTES = 65536
 
 
 class WireError(Exception):
@@ -85,6 +97,7 @@ class Channel:
 
     def __init__(self, sock: socket.socket, timeout: float | None = None):
         self._sock = sock
+        self._buffer = bytearray()  # received and not yet consumed
         if timeout is not None:
             sock.settimeout(timeout)
 
@@ -110,11 +123,28 @@ class Channel:
     def send_bytes(self, data: bytes) -> None:
         self._send(data)
 
+    def send_frames(self, *messages: dict, payload: bytes = b"") -> None:
+        """Send ``messages``, then ``payload`` raw, in one write.
+
+        A payload larger than :data:`CHUNK_BYTES` is not copied: it
+        follows the frames in a second write.
+        """
+        frames = b"".join(map(encode_frame, messages))
+        if len(payload) <= CHUNK_BYTES:
+            self.send_bytes(frames + payload)
+        else:
+            self.send_bytes(frames)
+            self.send_bytes(payload)
+
     def recv_bytes_to(self, size: int, writer) -> None:
         """Stream exactly ``size`` payload bytes into ``writer.write``."""
-        remaining = size
+        buffered = min(size, len(self._buffer))
+        if buffered:
+            writer.write(bytes(self._buffer[:buffered]))
+            del self._buffer[:buffered]
+        remaining = size - buffered
         while remaining > 0:
-            chunk = self._recv_some(min(_CHUNK, remaining))
+            chunk = self._recv_some(min(CHUNK_BYTES, remaining))
             writer.write(chunk)
             remaining -= len(chunk)
 
@@ -148,18 +178,38 @@ class Channel:
         return chunk
 
     def _recv_exact(self, size: int) -> bytes:
-        buf = bytearray()
-        while len(buf) < size:
-            buf.extend(self._recv_some(min(_CHUNK, size - len(buf))))
-        return bytes(buf)
+        buffer = self._buffer
+        while len(buffer) < size:
+            buffer += self._recv_some(CHUNK_BYTES)
+        data = bytes(buffer[:size])
+        del buffer[:size]
+        return data
 
 
 # How long shutdown() can wait for serve_forever to notice it.
 _SHUTDOWN_POLL_SECONDS = 0.05
+# How long the accept loop may spend answering a connection 503 busy.
+_BUSY_SEND_SECONDS = 1.0
+_worker_ids = itertools.count(1)
 
 
-class Server(socketserver.ThreadingTCPServer):
-    """Thread-per-connection server for a service.
+def _send_refusal(channel: Channel, refusal: Refusal) -> None:
+    try:
+        channel.send_frame(refusal.reply())
+    except WireError:
+        pass  # the peer has already gone
+
+
+class Server(socketserver.TCPServer):
+    """A service's server: a pool of reusable worker threads.
+
+    The accept loop hands each connection to an idle worker, and starts
+    a worker only when none is idle and fewer than :attr:`max_workers`
+    exist; a connection beyond that is answered 503 ``busy`` and
+    closed. A worker serves one connection at a time, through
+    :meth:`finish_request` and :meth:`shutdown_request`, then waits for
+    the next. :meth:`server_close` ends the idle workers at once and a
+    busy one when its session ends.
 
     The service provides ``io_timeout`` (seconds) and
     ``handle_session(channel)``; the server closes the channel when the
@@ -170,12 +220,17 @@ class Server(socketserver.ThreadingTCPServer):
     """
 
     allow_reuse_address = True
-    daemon_threads = True
+    max_workers = 64
 
     def __init__(self, address: tuple[str, int], service):
         # finish_request below serves each connection; no handler class runs.
         super().__init__(address, socketserver.BaseRequestHandler)
         self.service = service
+        self._connections = queue.SimpleQueue()  # (request, address), or None: exit
+        self._lock = threading.Lock()
+        self._workers = 0  # started and not yet told to exit
+        self._idle = 0  # workers free for a connection not yet queued
+        self._closed = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -183,6 +238,57 @@ class Server(socketserver.ThreadingTCPServer):
 
     def serve_forever(self, poll_interval: float = _SHUTDOWN_POLL_SECONDS) -> None:
         super().serve_forever(poll_interval)
+
+    def process_request(self, request, client_address) -> None:
+        """Hand the connection to an idle worker, or answer it 503 ``busy``."""
+        with self._lock:
+            ready = not self._closed and (self._idle > 0 or self._start_worker())
+            if ready:
+                self._idle -= 1
+                self._connections.put((request, client_address))
+        if not ready:
+            busy = Refusal(503, "busy", "every worker is busy; try again later")
+            _send_refusal(Channel(request, timeout=_BUSY_SEND_SECONDS), busy)
+            self.shutdown_request(request)
+
+    def _start_worker(self) -> bool:
+        """Start one more worker, idle, unless :attr:`max_workers` exist."""
+        if self._workers >= self.max_workers:
+            return False
+        name = "vo-worker-%d" % next(_worker_ids)
+        try:
+            threading.Thread(target=self._work, name=name, daemon=True).start()
+        except RuntimeError:  # the system has no thread to spare
+            return False
+        self._workers += 1
+        self._idle += 1
+        return True
+
+    def _work(self) -> None:
+        while True:
+            item = self._connections.get()
+            if item is None:
+                return
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                # The session is over: the worker counts as idle before
+                # its socket is shut, which only releases the socket.
+                with self._lock:
+                    self._idle += 1
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening, and tell every worker to exit once it is idle."""
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            for _ in range(self._workers):
+                self._connections.put(None)
+            self._workers = 0
 
     def finish_request(self, request, client_address) -> None:
         request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -192,10 +298,7 @@ class Server(socketserver.ThreadingTCPServer):
         except (Refusal, WireError) as exc:
             if isinstance(exc, WireError):
                 exc = Refusal(400, "protocol-error", str(exc))
-            try:
-                channel.send_frame(exc.reply())
-            except WireError:
-                pass  # the peer has already gone
+            _send_refusal(channel, exc)
         finally:
             channel.close()
 

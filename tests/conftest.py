@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import threading
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -42,6 +43,33 @@ grant "%(orwell)s" member atlas/data
 """ % {"tull": TULL, "orwell": ORWELL}
 
 NOW = datetime(2003, 3, 19, 8, 30, 53, tzinfo=timezone.utc)
+
+# wire.Server names its worker threads with this prefix.
+WORKER_PREFIX = "vo-worker-"
+WORKER_EXIT_SECONDS = 2.0
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run if a server worker thread outlives the tests.
+
+    Every test closes the servers it starts, and a closed server's
+    workers exit once their sessions end, so any worker still alive
+    after a short grace period belongs to a server that was never
+    closed or is a worker that never exited.
+    """
+    deadline = time.monotonic() + WORKER_EXIT_SECONDS
+    while True:
+        alive = sorted(t.name for t in threading.enumerate() if t.name.startswith(WORKER_PREFIX))
+        if not alive or time.monotonic() >= deadline:
+            break
+        time.sleep(0.01)
+    if alive:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        message = "server worker threads still alive after the run: %s" % ", ".join(alive)
+        if reporter is not None:
+            reporter.ensure_newline()
+            reporter.write_line(message, red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def get_bytes(session, path: str) -> bytes:

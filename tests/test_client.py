@@ -5,6 +5,7 @@ import io
 import json
 import os
 import socket
+import struct
 import threading
 from datetime import timedelta
 from types import SimpleNamespace
@@ -18,8 +19,10 @@ from vo_authz.client import (
     ClientError,
     ResourceSession,
     ServiceError,
+    admin_load,
     credential_dir,
     identity_init,
+    issue_assertion,
     list_tags,
     load_session,
     load_tag,
@@ -109,6 +112,48 @@ def test_private_files_are_owner_only_even_over_a_wider_file(home, tmp_path, mon
     identity_init(home.dir)
     for path in targets:
         assert path.stat().st_mode & 0o777 == 0o600, path
+
+
+def test_write_atomically_ignores_a_leftover_temporary_file(tmp_path):
+    path = tmp_path / "key.pem"
+    leftover = tmp_path / ("key.pem.tmp.%d" % os.getpid())
+    leftover.write_text("left over\n")
+    leftover.chmod(0o644)
+    ca.write_atomically(str(path), b"secret\n")
+    assert path.read_bytes() == b"secret\n"
+    assert path.stat().st_mode & 0o777 == 0o600
+
+
+def test_concurrent_writers_of_one_path_both_succeed(tmp_path, monkeypatch):
+    # Both writers have written and synced their data before either renames it.
+    barrier = threading.Barrier(2, timeout=5)
+    fsync = os.fsync
+
+    def fsync_then_wait(fd):
+        fsync(fd)
+        barrier.wait()
+
+    monkeypatch.setattr(os, "fsync", fsync_then_wait)
+    path = str(tmp_path / "policy.snapshot")
+    contents = [b"a" * 5000, b"b" * 3000]
+    errors = []
+
+    def write(data):
+        try:
+            ca.write_atomically(path, data)
+        except Exception as exc:
+            errors.append(exc)
+
+    writers = [threading.Thread(target=write, args=(data,)) for data in contents]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert errors == []
+    with open(path, "rb") as handle:
+        assert handle.read() in contents
+    assert os.listdir(tmp_path) == ["policy.snapshot"]
 
 
 def test_identity_init_rejects_expired_identity(home, tmp_path):
@@ -294,6 +339,40 @@ def world(tmp_path, monkeypatch):
     cas.server_close()
     cas_thread.join(timeout=5)
     files.close()
+
+
+def frame_types(data: bytes) -> list[str]:
+    """The ``type`` of each frame in one write of whole frames."""
+    types = []
+    while data:
+        (length,) = struct.unpack(">I", data[:4])
+        types.append(json.loads(data[4 : 4 + length])["type"])
+        data = data[4 + length :]
+    return types
+
+
+@pytest.mark.parametrize("first", ["issue_request", "admin_load", "present_assertion"])
+def test_auth_frame_and_first_request_are_one_write(world, monkeypatch, first):
+    cas_address = ("127.0.0.1", int(world.cas_address.rpartition(":")[2]))
+    assertion = issue_assertion(cas_address, world.factory.bundle(TULL))
+    client_thread = threading.get_ident()
+    writes = []
+    send = wire.Channel._send
+
+    def counting(channel, data):
+        if threading.get_ident() == client_thread:
+            writes.append(frame_types(data))
+        send(channel, data)
+
+    monkeypatch.setattr(wire.Channel, "_send", counting)
+    if first == "issue_request":
+        issue_assertion(cas_address, world.factory.bundle(TULL))
+    elif first == "admin_load":
+        assert admin_load(cas_address, world.factory.bundle(ADMIN), "") == 0
+    else:
+        with ResourceSession(world.files.address, world.factory.bundle(TULL), assertion):
+            pass
+    assert writes == [["auth", first]]
 
 
 def test_identity_init_command(world, capsys):

@@ -611,6 +611,54 @@ def test_small_get_reply_is_one_write(resource_env, identities, cas_identity, no
         session.quit()
 
 
+def test_small_put_is_one_write(resource_env, identities, cas_identity, now, monkeypatch):
+    assertion = data_assertion(cas_identity, now)
+    payload = os.urandom(4096)
+    with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
+        writes = []
+        send_frame, send_bytes = wire.Channel.send_frame, wire.Channel.send_bytes
+
+        def count_frame(channel, message):
+            writes.append(message["type"])
+            send_frame(channel, message)
+
+        def count_bytes(channel, data):
+            writes.append(len(data))
+            send_bytes(channel, data)
+
+        monkeypatch.setattr(wire.Channel, "send_frame", count_frame)
+        monkeypatch.setattr(wire.Channel, "send_bytes", count_bytes)
+        session.put("/home/data/four.bin", payload)
+        # The client's command frame with its payload, then the server's reply.
+        assert len(writes) == 2 and writes[0] > len(payload)
+        assert writes[1] == "response"
+        monkeypatch.undo()
+        assert get_bytes(session, "/home/data/four.bin") == payload
+        session.quit()
+
+
+def test_small_get_reply_is_one_read(resource_env, identities, cas_identity, now, monkeypatch):
+    assertion = data_assertion(cas_identity, now)
+    content = os.urandom(1024)
+    with open(os.path.join(resource_env.export_root, "home/data/one.bin"), "wb") as handle:
+        handle.write(content)
+    with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:
+        reads = []
+        recv_some = wire.Channel._recv_some
+
+        def counting(channel, limit):
+            if channel is session._channel:
+                reads.append(limit)
+            return recv_some(channel, limit)
+
+        monkeypatch.setattr(wire.Channel, "_recv_some", counting)
+        assert get_bytes(session, "/home/data/one.bin") == content
+        # The reply, the data header and the payload arrive in one read.
+        assert len(reads) == 1
+        monkeypatch.undo()
+        session.quit()
+
+
 def test_list_of_a_file(resource_env, identities, cas_identity, now):
     assertion = data_assertion(cas_identity, now)
     with ResourceSession(resource_env.address, identities.bundle(ORWELL), assertion) as session:

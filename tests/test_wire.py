@@ -5,10 +5,13 @@ import socket
 import struct
 import sys
 import threading
+import time
 
 import pytest
 
+from vo_authz.credentials import HandshakeError, answer_challenge
 from vo_authz.wire import (
+    CHUNK_BYTES,
     MAX_FRAME_BYTES,
     Channel,
     ChannelTimeout,
@@ -18,8 +21,11 @@ from vo_authz.wire import (
     Refusal,
     Server,
     connect,
+    encode_frame,
     parse_address,
 )
+
+from .conftest import TULL, WORKER_PREFIX
 
 
 @pytest.fixture
@@ -69,6 +75,64 @@ def test_recv_bytes_to_streams_into_writer(pair):
     sink = io.BytesIO()
     right.recv_bytes_to(len(payload), sink)
     assert sink.getvalue() == payload
+
+
+def test_two_frames_in_one_write_are_both_read(pair):
+    left, right = pair
+    left.send_frames({"type": "a"}, {"type": "b"})
+    assert right.recv_frame() == {"type": "a"}
+    assert right.recv_frame() == {"type": "b"}
+
+
+def test_frame_and_raw_bytes_in_one_write(pair):
+    left, right = pair
+    payload = bytes(range(256)) * 4
+    left.send_frames({"type": "data_header", "size": len(payload)}, payload=payload)
+    left.send_frame({"type": "after"})
+    assert right.recv_frame() == {"type": "data_header", "size": len(payload)}
+    sink = io.BytesIO()
+    right.recv_bytes_to(len(payload), sink)
+    assert sink.getvalue() == payload
+    assert right.recv_frame() == {"type": "after"}
+
+
+def test_payload_over_a_chunk_follows_its_frames(pair, monkeypatch):
+    left, right = pair
+    writes = []
+    send = Channel._send
+
+    def counting(channel, data):
+        writes.append(len(data))
+        send(channel, data)
+
+    monkeypatch.setattr(Channel, "_send", counting)
+    payload = b"p" * (CHUNK_BYTES + 1)
+    header = {"type": "data_header", "size": len(payload)}
+    sender = threading.Thread(target=left.send_frames, args=(header,), kwargs={"payload": payload})
+    sender.start()
+    try:
+        assert right.recv_frame() == header
+        sink = io.BytesIO()
+        right.recv_bytes_to(len(payload), sink)
+    finally:
+        sender.join(timeout=5)
+    assert not sender.is_alive()
+    assert sink.getvalue() == payload
+    assert writes == [len(encode_frame(header)), len(payload)]
+
+
+def test_frame_fed_one_byte_at_a_time(pair, monkeypatch):
+    left, right = pair
+    recv_some = Channel._recv_some
+    monkeypatch.setattr(Channel, "_recv_some", lambda channel, limit: recv_some(channel, 1))
+    message = {"type": "command", "op": "PUT", "path": "/data/x", "size": 3}
+    left.send_frames(message, payload=b"xyz")
+    left.send_frame({"type": "next"})
+    assert right.recv_frame() == message
+    sink = io.BytesIO()
+    right.recv_bytes_to(3, sink)
+    assert sink.getvalue() == b"xyz"
+    assert right.recv_frame() == {"type": "next"}
 
 
 def test_oversized_outgoing_frame_rejected(pair):
@@ -322,3 +386,122 @@ def test_reset_mid_send_is_a_transport_error():
         stop(server, thread)
     assert errors == []
     assert len(seen) == 1 and isinstance(seen[0], ConnectionClosedError)
+
+
+# -- the worker pool ------------------------------------------------------------
+
+
+class Echo:
+    """Waits for one frame and answers it with ``done``; counts its workers."""
+
+    io_timeout = 5.0
+
+    def __init__(self):
+        self.workers = set()
+
+    def handle_session(self, channel):
+        self.workers.add(threading.current_thread().name)
+        channel.recv_frame()
+        channel.send_frame({"type": "done"})
+
+
+def serve(service):
+    """Serve ``service``: ``(server, thread, ended)``; ``ended`` is released per shut connection."""
+    server = Server(("127.0.0.1", 0), service)
+    ended = threading.Semaphore(0)
+    shutdown_request = server.shutdown_request
+
+    def shutdown_and_signal(request):
+        shutdown_request(request)
+        ended.release()
+
+    server.shutdown_request = shutdown_and_signal
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread, ended
+
+
+def round_trip(address):
+    client = connect(address, timeout=5.0)
+    try:
+        client.send_frame({"type": "hello"})
+        assert client.recv_frame() == {"type": "done"}
+        with pytest.raises(ConnectionClosedError):
+            client.recv_frame()
+    finally:
+        client.close()
+
+
+def worker_names():
+    return {t.name for t in threading.enumerate() if t.name.startswith(WORKER_PREFIX)}
+
+
+def test_connection_over_the_cap_is_refused_busy(monkeypatch, identities):
+    monkeypatch.setattr(Server, "max_workers", 2)
+    server, thread, ended = serve(Echo())
+    held = [connect(server.address, timeout=5.0) for _ in range(2)]
+    try:
+        extra = connect(server.address, timeout=5.0)
+        try:
+            assert extra.recv_frame() == {
+                "type": "response", "status": 503, "code": "busy",
+                "message": "every worker is busy; try again later",
+            }
+            with pytest.raises(ConnectionClosedError):
+                extra.recv_frame()
+        finally:
+            extra.close()
+        assert ended.acquire(timeout=5)  # the refused connection
+        # The client names the refusal that came in place of the challenge.
+        extra = connect(server.address, timeout=5.0)
+        try:
+            with pytest.raises(HandshakeError) as exc:
+                answer_challenge(extra, identities.bundle(TULL))
+            assert exc.value.code == "busy"
+        finally:
+            extra.close()
+        assert ended.acquire(timeout=5)
+        # A session that ends frees its worker for the next connection.
+        first = held.pop(0)
+        first.send_frame({"type": "hello"})
+        assert first.recv_frame() == {"type": "done"}
+        first.close()
+        assert ended.acquire(timeout=5)
+        round_trip(server.address)
+    finally:
+        for client in held:
+            client.close()
+        stop(server, thread)
+
+
+def test_sequential_connections_reuse_workers(monkeypatch):
+    monkeypatch.setattr(Server, "max_workers", 2)
+    before = worker_names()
+    service = Echo()
+    server, thread, ended = serve(service)
+    try:
+        for _ in range(50):
+            round_trip(server.address)
+            assert ended.acquire(timeout=5)
+        assert len(service.workers) <= 2
+        assert len(worker_names() - before) <= 2
+    finally:
+        stop(server, thread)
+
+
+def test_server_close_ends_the_workers():
+    baseline = threading.active_count()
+    server, thread, ended = serve(Echo())
+    try:
+        clients = [connect(server.address, timeout=5.0) for _ in range(3)]
+        for client in clients:
+            client.send_frame({"type": "hello"})
+        for client in clients:
+            assert client.recv_frame() == {"type": "done"}
+            client.close()
+    finally:
+        stop(server, thread)
+    deadline = time.monotonic() + 1.0
+    while threading.active_count() > baseline and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= baseline
