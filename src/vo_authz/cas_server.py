@@ -27,7 +27,6 @@ from .ca import load_identity_keypair, write_atomically
 from .credentials import (
     DEFAULT_LIFETIME_SECONDS,
     AssertionBody,
-    AuthenticatedPeer,
     Clock,
     CredentialError,
     IdentityCredential,
@@ -120,33 +119,33 @@ class CasService:
 
     def handle_session(self, channel: wire.Channel) -> None:
         """Authenticate the peer, then answer its one request."""
-        peer = authenticate_peer(channel, self.trust_root, self.clock())
-        channel.send_frame(self.handle_request(peer, channel.recv_frame()))
+        subject = authenticate_peer(channel, self.trust_root, self.clock())
+        channel.send_frame(self.handle_request(subject, channel.recv_frame()))
 
-    def handle_request(self, peer: AuthenticatedPeer, frame: dict) -> dict:
+    def handle_request(self, subject: str, frame: dict) -> dict:
         """Answer one request: its success reply, or its refusal's reply."""
         try:
             if frame["type"] == "issue_request":
-                return self.handle_issue(peer, frame)
+                return self.handle_issue(subject, frame)
             if frame["type"] == "admin_load":
-                return self.handle_admin_load(peer, frame)
+                return self.handle_admin_load(subject, frame)
             raise wire.Refusal(400, "unknown-request", "unsupported request type %r" % frame["type"])
         except wire.Refusal as refusal:
             return refusal.reply()
 
     # -- issuance -----------------------------------------------------------
 
-    def handle_issue(self, peer: AuthenticatedPeer, frame: dict) -> dict:
+    def handle_issue(self, subject: str, frame: dict) -> dict:
         requested = _parse_requested_rights(frame.get("rights"))
         lifetime = _parse_lifetime(frame.get("lifetime_seconds"))
         store = self._store
-        if peer.subject not in store.subjects:
+        if subject not in store.subjects:
             raise wire.Refusal(
-                403, "no-vo-membership", "subject %r is not a member of this VO" % peer.subject
+                403, "no-vo-membership", "subject %r is not a member of this VO" % subject
             )
-        granted = store.rights_of(peer.subject)
+        granted = store.rights_of(subject)
         if not granted:
-            raise wire.Refusal(403, "no-rights", "subject %r holds no rights" % peer.subject)
+            raise wire.Refusal(403, "no-rights", "subject %r holds no rights" % subject)
         try:
             rights = filter_rights(granted, requested)
         except FilterDenied as exc:
@@ -157,7 +156,7 @@ class CasService:
         seconds = min(lifetime or self.max_lifetime_seconds, self.max_lifetime_seconds)
         body = AssertionBody(
             issuer=self.issuer.subject,
-            subject=peer.subject,
+            subject=subject,
             serial=fresh_serial(),
             issued_at=now,
             not_after=now + timedelta(seconds=seconds),
@@ -168,9 +167,9 @@ class CasService:
 
     # -- administration -----------------------------------------------------
 
-    def handle_admin_load(self, peer: AuthenticatedPeer, frame: dict) -> dict:
-        if peer.subject not in self.admin_dns:
-            raise wire.Refusal(403, "not-admin", "subject %r may not load policy" % peer.subject)
+    def handle_admin_load(self, subject: str, frame: dict) -> dict:
+        if subject not in self.admin_dns:
+            raise wire.Refusal(403, "not-admin", "subject %r may not load policy" % subject)
         commands = frame.get("commands")
         if not isinstance(commands, str):
             raise wire.Refusal(400, "bad-request", "admin_load needs a string 'commands' field")

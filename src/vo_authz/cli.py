@@ -115,7 +115,8 @@ def _identity_needs_passphrase(directory: str) -> bool:
     try:
         with open(identity_path(directory), "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        return "ENCRYPTED" in doc.get("private_key_pem", "")
+        pem = doc.get("private_key_pem")
+        return isinstance(pem, str) and "ENCRYPTED" in pem
     except (OSError, json.JSONDecodeError, AttributeError):
         return False
 

@@ -325,11 +325,9 @@ class ResourceSession:
 
     def get(self, path: str, writer) -> int:
         """Download into ``writer.write``; returns the byte count."""
-        self._ask({"type": "command", "op": "GET", "path": path})
-        header = self._channel.recv_frame()
-        size = header.get("size")
-        if header["type"] != "data_header" or not wire.is_size(size):
-            raise ServiceError(500, "protocol-error", "expected a data_header with a size")
+        size = self._ask({"type": "command", "op": "GET", "path": path}).get("size")
+        if not wire.is_size(size):
+            raise ServiceError(500, "protocol-error", "GET reply lacks a valid size")
         self._channel.recv_bytes_to(size, writer)
         return size
 

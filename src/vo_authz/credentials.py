@@ -166,6 +166,8 @@ def private_key_to_pem(key: Ed25519PrivateKey, passphrase: Optional[bytes] = Non
 
 
 def private_key_from_pem(pem: str, passphrase: Optional[bytes] = None) -> Ed25519PrivateKey:
+    if not isinstance(pem, str):
+        raise CredentialError("private key PEM must be text")
     try:
         key = serialization.load_pem_private_key(pem.encode("ascii"), password=passphrase)
     except (ValueError, TypeError) as exc:
@@ -409,15 +411,6 @@ class Assertion:
     signature: bytes
 
 
-@dataclass(frozen=True)
-class VerifiedRights:
-    """What a successfully verified assertion establishes."""
-
-    issuer: str
-    subject: str
-    rights: tuple[RightsTuple, ...]
-
-
 def sign_assertion(body: AssertionBody, issuer_private_key: Ed25519PrivateKey) -> Assertion:
     return Assertion(body=body, signature=issuer_private_key.sign(body.signed_payload()))
 
@@ -426,8 +419,8 @@ def verify_assertion(
     assertion: Assertion,
     trusted_issuers: Mapping[str, bytes],
     now: datetime,
-) -> VerifiedRights:
-    """Verify issuer trust, signature, and validity window.
+) -> AssertionBody:
+    """Verify issuer trust, signature, and validity window; return the body.
 
     The window is half-open: ``now == issued_at`` is valid (and clock
     skew stretches the opening edge), ``now == not_after`` is expired.
@@ -439,7 +432,7 @@ def verify_assertion(
     if not _verify(issuer_key, assertion.signature, body.signed_payload()):
         raise BadSignature("assertion signature does not verify")
     _check_window("assertion", now, body.not_after, body.issued_at)
-    return VerifiedRights(issuer=body.issuer, subject=body.subject, rights=body.rights)
+    return body
 
 
 # -- serialized documents ----------------------------------------------------
@@ -562,17 +555,11 @@ def session_from_doc(doc) -> SessionCredential:
 # The verifier sends a fresh 32-byte nonce; the prover answers with its
 # credential chain and an Ed25519 signature over nonce || AUTH_CONTEXT
 # made with the session key. One direction only: clients prove their
-# identity to services.
+# identity to services, and a service learns the peer's subject DN.
 
 
-@dataclass(frozen=True)
-class AuthenticatedPeer:
-    subject: str
-    session_public_key: bytes
-
-
-def authenticate_peer(channel, trust_root: bytes, now: datetime) -> AuthenticatedPeer:
-    """Run the verifier side of the handshake on a framed channel."""
+def authenticate_peer(channel, trust_root: bytes, now: datetime) -> str:
+    """Run the verifier side of the handshake; return the peer's subject DN."""
     nonce = secrets.token_bytes(32)
     channel.send_frame({"type": "challenge", "nonce": _b64(nonce)})
     try:
@@ -597,10 +584,7 @@ def authenticate_peer(channel, trust_root: bytes, now: datetime) -> Authenticate
         _check_signature(session.session_public_key, nonce_signature, nonce + AUTH_CONTEXT)
     except InvalidSignature:
         raise HandshakeError("nonce-mismatch", "nonce signature does not verify") from None
-    return AuthenticatedPeer(
-        subject=session.identity.subject,
-        session_public_key=session.session_public_key,
-    )
+    return session.identity.subject
 
 
 def answer_challenge(channel, bundle: SessionBundle, request: Optional[dict] = None) -> None:

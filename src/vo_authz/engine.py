@@ -46,12 +46,7 @@ class FilterDenied(Exception):
 
 @dataclass(frozen=True)
 class Decision:
-    """Outcome of an authorization check.
-
-    For :func:`check_right` results, ``allowed`` implies
-    ``matched_tuple`` is present; layered checks elsewhere may allow
-    vacuously with no matching tuple.
-    """
+    """Outcome of a layered authorization check, such as ``file_server.authorize_file_op``."""
 
     allowed: bool
     matched_tuple: Optional[RightsTuple]
@@ -74,8 +69,8 @@ def match_target(pattern: str, match_mode: MatchMode, target: str) -> bool:
 
 def check_right(
     rights: Iterable[RightsTuple], service_type: str, action: str, target: str
-) -> Decision:
-    """First-match query: is <service_type, action, target> allowed?
+) -> Optional[RightsTuple]:
+    """First-match query: the right that allows <service_type, action, target>, or None.
 
     ``rights`` must already be in canonical order (as
     ``AssertionBody.rights`` is), so the first match is the canonical
@@ -87,8 +82,8 @@ def check_right(
             and right.action == action
             and match_target(right.target, right.match_mode, target)
         ):
-            return Decision(True, right, "matched")
-    return Decision(False, None, "no-matching-tuple")
+            return right
+    return None
 
 
 def roles_in(rights: Iterable[RightsTuple]) -> list[str]:

@@ -49,11 +49,9 @@ from typing import Mapping, Optional
 
 from . import wire
 from .credentials import (
-    AuthenticatedPeer,
     Clock,
     CredentialError,
     MalformedCredential,
-    VerifiedRights,
     assertion_from_doc,
     authenticate_peer,
     format_timestamp,
@@ -96,20 +94,8 @@ _MISSING = {
 }
 
 
-class MappingError(Exception):
-    """No account mapping exists for this session."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 class PathError(ValueError):
     """A client-supplied path is unusable (shape or confinement)."""
-
-
-class AuditError(Exception):
-    """The audit log could not be written; commands must fail closed."""
 
 
 class Refusal(wire.Refusal):
@@ -202,35 +188,39 @@ class AccountDecision:
 
 
 def map_to_account(
-    verified: VerifiedRights,
+    subject: str,
+    issuer: str,
+    rights: tuple[RightsTuple, ...],
     role_map: tuple[tuple[str, str], ...],
     grid_map: Mapping[str, tuple[str, ...]],
 ) -> AccountDecision:
-    """Map verified rights to a local account.
+    """Map an issuer's verified rights for ``subject`` to a local account.
 
     The role map is walked in file order and the first role the rights
     confer wins. The winning account must appear in the issuer's
     grid-map entry: that is the cross-VO check, and failing it is a
     hard error rather than a fallthrough. Only when no role matches at
     all does the subject's personal grid-map entry apply
-    (lexicographically first account).
+    (lexicographically first account). No mapping raises a 403
+    :class:`Refusal`.
     """
-    roles = set(roles_in(verified.rights))
+    roles = set(roles_in(rights))
     for role, account in role_map:
         if role not in roles:
             continue
-        if account not in grid_map.get(verified.issuer, ()):
-            raise MappingError(
+        if account not in grid_map.get(issuer, ()):
+            raise Refusal(
+                403,
                 "issuer-not-authorized-for-account",
-                "issuer %r may not map role %s to account %r"
-                % (verified.issuer, role, account),
+                "issuer %r may not map role %s to account %r" % (issuer, role, account),
             )
         return AccountDecision(account=account, via="role:%s" % role)
-    personal = grid_map.get(verified.subject, ())
+    personal = grid_map.get(subject, ())
     if not personal:
-        raise MappingError(
+        raise Refusal(
+            403,
             "no-role-and-no-personal-mapping",
-            "no role matched and %r has no personal account" % verified.subject,
+            "no role matched and %r has no personal account" % subject,
         )
     return AccountDecision(account=sorted(personal)[0], via="personal")
 
@@ -281,10 +271,9 @@ def authorize_file_op(
     file_tuples = [r for r in rights if r.service_type == FILE_SERVICE_TYPE]
     matched = None
     if file_tuples:
-        layer1 = check_right(file_tuples, FILE_SERVICE_TYPE, action, file_url(server_name, path))
-        if not layer1.allowed:
+        matched = check_right(file_tuples, FILE_SERVICE_TYPE, action, file_url(server_name, path))
+        if matched is None:
             return Decision(False, None, "cas-rights")
-        matched = layer1.matched_tuple
     info = account_table[decision.account]
     if action == READ_ACTION:
         local_ok = _under(path, info.home) or (
@@ -308,14 +297,15 @@ class AuditLog:
         self._handle = open(path, "a", encoding="utf-8")
 
     def write(self, *columns: str) -> None:
-        """Append one tab-separated line of the given columns."""
+        """Append one tab-separated line; if that fails, refuse 500 ``audit-unavailable``."""
         line = "\t".join(map(_audit_field, columns)) + "\n"
         try:
             with self._lock:
                 self._handle.write(line)
                 self._handle.flush()
         except (OSError, ValueError) as exc:
-            raise AuditError("audit log unavailable: %s" % exc) from exc
+            message = "cannot record the operation, refusing to serve it"
+            raise wire.Refusal(500, "audit-unavailable", message) from exc
 
     def close(self) -> None:
         with self._lock:
@@ -395,20 +385,16 @@ class ResourceService:
     # -- session driving -------------------------------------------------------
 
     def handle_session(self, channel: wire.Channel) -> None:
-        peer = authenticate_peer(channel, self.trust_root, self.clock())
-        try:
-            _Session(self, peer).run(channel)
-        except AuditError as exc:
-            message = "cannot record the operation, refusing to serve it"
-            raise wire.Refusal(500, "audit-unavailable", message) from exc
+        subject = authenticate_peer(channel, self.trust_root, self.clock())
+        _Session(self, subject).run(channel)
 
 
 class _Session:
     """One authenticated connection's state and command loop."""
 
-    def __init__(self, service: ResourceService, peer: AuthenticatedPeer):
+    def __init__(self, service: ResourceService, subject: str):
         self.service = service
-        self.peer = peer
+        self.subject = subject
         self.rights: tuple[RightsTuple, ...] = ()
         self.issuer: Optional[str] = None  # set once an assertion parses
         self.decision: Optional[AccountDecision] = None
@@ -426,7 +412,10 @@ class _Session:
         """Run ``handler(channel, frame)``; returns whether the session goes on.
 
         This is the one place a :class:`Refusal` is audited and answered.
-        A refused mapping and a failed write (500) end the session.
+        A refused mapping and a failed write (500) end the session. A
+        failed audit write raises a plain :class:`wire.Refusal`, which is
+        not caught here: it ends the session unaudited, and
+        :class:`wire.Server` answers it.
         """
         try:
             return handler(channel, frame)
@@ -439,7 +428,7 @@ class _Session:
         decision = self.decision
         self.service.audit_log.write(
             format_timestamp(self.service.clock()),
-            self.peer.subject,
+            self.subject,
             self.issuer or _NO_VALUE,
             decision.account if decision else _NO_VALUE,
             decision.via if decision else _NO_VALUE,
@@ -456,19 +445,20 @@ class _Session:
         try:
             assertion = assertion_from_doc(frame.get("assertion"))
             self.issuer = assertion.body.issuer
-            verified = verify_assertion(assertion, service.trusted_issuers, service.clock())
+            body = verify_assertion(assertion, service.trusted_issuers, service.clock())
         except CredentialError as exc:
             status = 400 if isinstance(exc, MalformedCredential) else 401
             raise Refusal(status, exc.code, str(exc)) from exc
-        if verified.subject != self.peer.subject:
+        if body.subject != self.subject:
             raise Refusal(
                 401,
                 "subject-mismatch",
-                "assertion subject %r does not match the authenticated peer"
-                % verified.subject,
+                "assertion subject %r does not match the authenticated peer" % body.subject,
             )
-        self.decision = self._map(verified)
-        self.rights = verified.rights
+        self.decision = map_to_account(
+            body.subject, body.issuer, body.rights, service.role_map, service.grid_map
+        )
+        self.rights = body.rights
         channel.send_frame(
             wire.reply(200, account=self.decision.account, via=self.decision.via)
         )
@@ -476,15 +466,11 @@ class _Session:
 
     def _map_personal(self, channel: wire.Channel, frame: dict) -> bool:
         """Sessions without an assertion map on first use, personally."""
-        subject = self.peer.subject
-        self.decision = self._map(VerifiedRights(issuer=subject, subject=subject, rights=()))
+        service = self.service
+        self.decision = map_to_account(
+            self.subject, self.subject, (), service.role_map, service.grid_map
+        )
         return True
-
-    def _map(self, verified: VerifiedRights) -> AccountDecision:
-        try:
-            return map_to_account(verified, self.service.role_map, self.service.grid_map)
-        except MappingError as exc:
-            raise Refusal(403, exc.code, str(exc)) from exc
 
     # -- commands ----------------------------------------------------------------
 
@@ -578,9 +564,7 @@ class _Session:
             if len(first) < want:
                 return False
             # A reply of up to one chunk leaves in a single write.
-            channel.send_frames(
-                wire.reply(200), {"type": "data_header", "size": size}, payload=first
-            )
+            channel.send_frames(wire.reply(200, size=size), payload=first)
             remaining = size - len(first)
             while remaining:
                 chunk = os.read(fd, min(remaining, wire.CHUNK_BYTES))

@@ -3,8 +3,8 @@
 Every message is a 4-byte big-endian unsigned length (at most 1 MiB)
 followed by that many bytes of UTF-8 JSON with a top-level ``type``
 field. File payloads are the sole exception: raw bytes of a
-pre-declared size follow a ``data_header`` frame (downloads) or a
-``command`` frame (uploads).
+pre-declared ``size`` follow a GET's ``response`` frame (downloads) or a
+PUT's ``command`` frame (uploads).
 
 Every answer from a service is one :func:`reply` frame of type
 ``response``; a refusal is raised as a :class:`Refusal` and carries its
@@ -112,7 +112,7 @@ class Channel:
         data = self._recv_exact(length)
         try:
             message = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # bad UTF-8, bad JSON, an integer of too many digits
             raise ProtocolError("frame is not valid JSON: %s" % exc) from exc
         except RecursionError:
             raise ProtocolError("frame nests too deeply") from None

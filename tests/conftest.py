@@ -3,11 +3,12 @@ from __future__ import annotations
 import io
 import threading
 import time
+import traceback
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from vo_authz import credentials
+from vo_authz import credentials, wire
 from vo_authz.ca import make_identity
 from vo_authz.credentials import (
     AssertionBody,
@@ -48,14 +49,31 @@ NOW = datetime(2003, 3, 19, 8, 30, 53, tzinfo=timezone.utc)
 WORKER_PREFIX = "vo-worker-"
 WORKER_EXIT_SECONDS = 2.0
 
+# Every traceback a server printed through wire.Server.handle_error, the
+# hook that a worker calls for an exception no session step handled.
+SERVER_TRACEBACKS = pytest.StashKey[list]()
+
+
+def pytest_configure(config):
+    tracebacks = config.stash[SERVER_TRACEBACKS] = []
+    print_error = wire.Server.handle_error
+
+    def record(server, request, client_address):
+        tracebacks.append(traceback.format_exc())
+        print_error(server, request, client_address)
+
+    wire.Server.handle_error = record
+
 
 def pytest_sessionfinish(session, exitstatus):
-    """Fail the run if a server worker thread outlives the tests.
+    """Fail the run if a server printed a traceback, or if a worker outlives the tests.
 
-    Every test closes the servers it starts, and a closed server's
-    workers exit once their sessions end, so any worker still alive
-    after a short grace period belongs to a server that was never
-    closed or is a worker that never exited.
+    A server that meets an exception no session step handles prints its
+    traceback and carries on, so no test fails on its own. Every test
+    closes the servers it starts, and a closed server's workers exit
+    once their sessions end, so any worker still alive after a short
+    grace period belongs to a server that was never closed or is a
+    worker that never exited.
     """
     deadline = time.monotonic() + WORKER_EXIT_SECONDS
     while True:
@@ -63,12 +81,19 @@ def pytest_sessionfinish(session, exitstatus):
         if not alive or time.monotonic() >= deadline:
             break
         time.sleep(0.01)
+    messages = []
+    tracebacks = session.config.stash[SERVER_TRACEBACKS]
+    if tracebacks:
+        messages.append("a server printed %d traceback(s):" % len(tracebacks))
+        messages.extend(tracebacks)
     if alive:
+        messages.append("server worker threads still alive after the run: %s" % ", ".join(alive))
+    if messages:
         reporter = session.config.pluginmanager.get_plugin("terminalreporter")
-        message = "server worker threads still alive after the run: %s" % ", ".join(alive)
         if reporter is not None:
-            reporter.ensure_newline()
-            reporter.write_line(message, red=True)
+            reporter.line("")  # the progress line may still be open
+            for message in messages:
+                reporter.write_line(message, red=True)
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 import socket
 import struct
+import sys
 import threading
 from datetime import timedelta
 
@@ -11,10 +13,12 @@ import pytest
 
 from vo_authz import wire
 from vo_authz.cas_server import CasServer, CasService, load_cas_config, service_from_config
+from vo_authz.cas_server import main as cas_main
 from vo_authz.client import ServiceError, admin_load, issue_assertion
 from vo_authz.credentials import (
-    AuthenticatedPeer,
     assertion_from_doc,
+    identity_to_doc,
+    public_key_to_pem,
     verify_assertion,
 )
 from vo_authz.policy import RightsTuple, apply_command_file, load_snapshot, save_snapshot
@@ -37,14 +41,10 @@ def cas_service(cas_identity, trust_root, demo_store, clock, tmp_path):
     )
 
 
-def peer(subject: str) -> AuthenticatedPeer:
-    return AuthenticatedPeer(subject=subject, session_public_key=b"\x00" * 32)
-
-
 def issue(service: CasService, subject: str, **fields) -> dict:
     frame = {"type": "issue_request"}
     frame.update(fields)
-    return service.handle_request(peer(subject), frame)
+    return service.handle_request(subject, frame)
 
 
 def trusted(service: CasService) -> dict[str, bytes]:
@@ -99,7 +99,7 @@ def test_subject_whose_last_right_is_rescinded_gets_no_rights(cas_service):
     assert issue(cas_service, ORWELL)["status"] == 200
     commands = 'rescind "%s" member atlas/data\n' % ORWELL
     response = cas_service.handle_request(
-        peer(ADMIN), {"type": "admin_load", "commands": commands}
+        ADMIN, {"type": "admin_load", "commands": commands}
     )
     assert response["status"] == 200
     response = issue(cas_service, ORWELL)
@@ -171,7 +171,7 @@ def test_serials_are_fresh(cas_service):
 
 
 def test_unknown_request_type(cas_service):
-    response = cas_service.handle_request(peer(TULL), {"type": "command"})
+    response = cas_service.handle_request(TULL, {"type": "command"})
     assert response["type"] == "response"
     assert response["status"] == 400
 
@@ -181,7 +181,7 @@ def test_unknown_request_type(cas_service):
 
 def test_non_admin_cannot_load(cas_service, demo_store):
     response = cas_service.handle_request(
-        peer(TULL), {"type": "admin_load", "commands": "servicetype net join\n"}
+        TULL, {"type": "admin_load", "commands": "servicetype net join\n"}
     )
     assert response["status"] == 403
     assert response["code"] == "not-admin"
@@ -191,7 +191,7 @@ def test_non_admin_cannot_load(cas_service, demo_store):
 def test_admin_load_applies_and_persists(cas_service):
     commands = 'rescind "%s" member atlas/admin\n' % TULL
     response = cas_service.handle_request(
-        peer(ADMIN), {"type": "admin_load", "commands": commands}
+        ADMIN, {"type": "admin_load", "commands": commands}
     )
     assert response == {"type": "response", "status": 200, "applied": 1}
     assert cas_service.store.rights_of(TULL) == [
@@ -202,12 +202,12 @@ def test_admin_load_applies_and_persists(cas_service):
 
 
 def test_admin_load_error_names_line_and_mutates_nothing(cas_service, demo_store):
-    cas_service.handle_request(peer(ADMIN), {"type": "admin_load", "commands": ""})
+    cas_service.handle_request(ADMIN, {"type": "admin_load", "commands": ""})
     with open(cas_service.snapshot_path, "rb") as handle:
         before = handle.read()
     commands = "object group atlas/new\nbogus line\n"
     response = cas_service.handle_request(
-        peer(ADMIN), {"type": "admin_load", "commands": commands}
+        ADMIN, {"type": "admin_load", "commands": commands}
     )
     assert response["status"] == 400
     assert response["code"] == "command-file-error"
@@ -218,7 +218,7 @@ def test_admin_load_error_names_line_and_mutates_nothing(cas_service, demo_store
 
 
 def test_admin_load_requires_string_commands(cas_service):
-    response = cas_service.handle_request(peer(ADMIN), {"type": "admin_load", "commands": 7})
+    response = cas_service.handle_request(ADMIN, {"type": "admin_load", "commands": 7})
     assert response["status"] == 400
 
 
@@ -238,7 +238,7 @@ def test_issuance_sees_pre_or_post_load_store_never_a_mix(cas_service, demo_stor
     threads = [threading.Thread(target=issuer_loop) for _ in range(4)]
     for t in threads:
         t.start()
-    cas_service.handle_request(peer(ADMIN), {"type": "admin_load", "commands": commands})
+    cas_service.handle_request(ADMIN, {"type": "admin_load", "commands": commands})
     stop.set()
     for t in threads:
         t.join(timeout=10)
@@ -368,13 +368,31 @@ def test_deeply_nested_auth_frame_gets_protocol_error(cas_server):
     assert errors == []
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="no integer digit limit here"
+)
+def test_auth_frame_with_an_integer_of_too_many_digits_gets_protocol_error(cas_server):
+    errors = []
+    cas_server.handle_error = lambda request, address: errors.append(address)
+    channel = wire.connect(cas_server.address, timeout=5)
+    try:
+        channel.recv_frame()  # the challenge
+        data = b'{"type":"auth","n":%s}' % (b"9" * (sys.get_int_max_str_digits() + 700))
+        channel.send_bytes(struct.pack(">I", len(data)) + data)
+        frame = channel.recv_frame()
+        assert (frame["type"], frame["status"], frame["code"]) == (
+            "response", 400, "protocol-error"
+        )
+    finally:
+        channel.close()
+    assert errors == []
+
+
 # -- configuration -----------------------------------------------------------------
 
 
 def test_config_round_trip(tmp_path, trust_root, identities, cas_identity):
-    import json
-
-    from vo_authz.credentials import identity_to_doc, private_key_to_pem, public_key_to_pem
+    from vo_authz.credentials import private_key_to_pem
 
     cred, private = cas_identity
     key_doc = identity_to_doc(cred)
@@ -399,13 +417,24 @@ def test_config_round_trip(tmp_path, trust_root, identities, cas_identity):
     assert service.store.subjects == frozenset()
 
     # A stored snapshot is picked up on the next start.
-    service.handle_request(
-        AuthenticatedPeer(ADMIN, b"\x00" * 32),
-        {"type": "admin_load", "commands": DEMO_POLICY},
-    )
+    service.handle_request(ADMIN, {"type": "admin_load", "commands": DEMO_POLICY})
     again = service_from_config(config)
     assert again.store == service.store
     assert save_snapshot(again.store) == save_snapshot(service.store)
+
+
+def test_server_refuses_a_key_file_whose_key_is_not_text(
+    tmp_path, trust_root, cas_identity, capsys
+):
+    key_doc = identity_to_doc(cas_identity[0])
+    key_doc["private_key_pem"] = 5
+    (tmp_path / "cas_key.json").write_text(json.dumps(key_doc))
+    (tmp_path / "trust_root.pem").write_text(public_key_to_pem(trust_root[1]))
+    (tmp_path / "cas.conf").write_text(
+        "listen = 127.0.0.1:0\nkey_file = cas_key.json\ntrust_root_file = trust_root.pem\n"
+    )
+    assert cas_main(["--config", str(tmp_path / "cas.conf")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_config_missing_key_errors(tmp_path):

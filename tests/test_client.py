@@ -29,7 +29,7 @@ from vo_authz.client import (
     load_unexpired_tag,
     store_tag,
 )
-from vo_authz.credentials import format_timestamp, generate_keypair, utc_now
+from vo_authz.credentials import CredentialError, format_timestamp, generate_keypair, utc_now
 from vo_authz.policy import PolicyStore, RightsTuple, apply_command_file
 
 from .conftest import (
@@ -187,6 +187,47 @@ def test_load_session_rejects_garbage(home):
         handle.write("{not json")
     with pytest.raises(ClientError):
         load_session(home.dir)
+
+
+def set_private_key_pem(path: str, value) -> None:
+    """Rewrite the ``private_key_pem`` field of a JSON key file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["private_key_pem"] = value
+    write_owner_only(path, json.dumps(doc).encode("utf-8"))
+
+
+def test_identity_key_that_is_not_text_is_a_credential_error(home):
+    path = os.path.join(home.dir, "identity.json")
+    set_private_key_pem(path, 5)
+    with pytest.raises(CredentialError):
+        ca.load_identity_keypair(path)
+
+
+def test_identity_init_command_refuses_an_identity_key_that_is_not_text(home, capsys):
+    set_private_key_pem(os.path.join(home.dir, "identity.json"), 5)
+    assert cli.main(["--dir", home.dir, "identity-init"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_load_session_refuses_a_session_key_that_is_not_text(home):
+    identity_init(home.dir)
+    set_private_key_pem(os.path.join(home.dir, "session.json"), 5)
+    with pytest.raises(ClientError):
+        load_session(home.dir)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["cas-init", "x"], ["run", "x", "ls", "/"], ["admin-load", "policy.txt"]],
+    ids=["cas-init", "run", "admin-load"],
+)
+def test_commands_refuse_a_session_key_that_is_not_text(home, capsys, command):
+    identity_init(home.dir)
+    set_private_key_pem(os.path.join(home.dir, "session.json"), 5)
+    # The session is loaded before any connection is made.
+    assert cli.main(["--dir", home.dir, *command, "--server", "127.0.0.1:1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # -- tag files -------------------------------------------------------------------
@@ -543,8 +584,8 @@ def test_get_refuses_a_data_header_without_a_valid_size(identities, header):
             channel.send_frame({"type": "challenge", "nonce": base64.b64encode(bytes(32)).decode()})
             assert channel.recv_frame()["type"] == "auth"
             assert channel.recv_frame()["op"] == "GET"
-            channel.send_frame({"type": "response", "status": 200})
-            channel.send_frame(dict(header, type="data_header"))
+            # A GET's 200 must carry the payload's size.
+            channel.send_frame(wire.reply(200, **header))
         finally:
             channel.close()
 

@@ -292,6 +292,7 @@ def test_sign_and_verify_assertion(issuer_key):
     assert verified.subject == TULL
     assert verified.issuer == CAS_DN
     assert verified.rights == tuple(sorted(SAMPLE_RIGHTS))
+    assert verified == assertion.body  # the serial included
 
 
 def test_verify_rejects_untrusted_issuer(issuer_key):
@@ -432,10 +433,9 @@ def test_handshake_happy_path(trust_root, identities, now):
     server, client = handshake_pair()
     bundle = identities.bundle(TULL)
     thread = run_prover(creds.answer_challenge, client, bundle)
-    peer = creds.authenticate_peer(server, trust_root[1], now)
+    subject = creds.authenticate_peer(server, trust_root[1], now)
     thread.join(timeout=5)
-    assert peer.subject == TULL
-    assert peer.session_public_key == bundle.session.session_public_key
+    assert subject == TULL
     server.close()
     client.close()
 
@@ -598,7 +598,7 @@ def test_repeat_handshake_verifies_only_the_nonce(trust_root, identities, now, u
     assert len(uncached_checks) == 3
     del uncached_checks[:]
     size = creds._check_signature_cached.cache_info().currsize
-    assert handshake(bundle, trust_root[1], now).subject == TULL
+    assert handshake(bundle, trust_root[1], now) == TULL
     assert len(uncached_checks) == 1
     assert uncached_checks[0].endswith(creds.AUTH_CONTEXT)
     # The nonce signature is never stored either.

@@ -80,23 +80,18 @@ def rights_fixture():
 
 
 def test_check_right_allows_with_matching_tuple():
-    decision = check_right(rights_fixture(), "file", "read", "ftp://h/a/b")
-    assert decision.allowed
-    assert decision.matched_tuple == RightsTuple("file", "read", "ftp://h/*", WILDCARD)
-    assert decision.reason == "matched"
+    matched = check_right(rights_fixture(), "file", "read", "ftp://h/a/b")
+    assert matched == RightsTuple("file", "read", "ftp://h/*", WILDCARD)
 
 
 def test_check_right_denies_without_match():
-    decision = check_right(rights_fixture(), "file", "write", "ftp://h/other")
-    assert not decision.allowed
-    assert decision.matched_tuple is None
-    assert decision.reason == "no-matching-tuple"
+    assert check_right(rights_fixture(), "file", "write", "ftp://h/other") is None
 
 
 def test_check_right_requires_action_and_type_to_match():
     rights = rights_fixture()
-    assert not check_right(rights, "file", "write", "ftp://h/a").allowed
-    assert not check_right(rights, "group", "read", "ftp://h/a").allowed
+    assert check_right(rights, "file", "write", "ftp://h/a") is None
+    assert check_right(rights, "group", "read", "ftp://h/a") is None
 
 
 def test_check_right_invariant_allowed_implies_match():
@@ -108,10 +103,16 @@ def test_check_right_invariant_allowed_implies_match():
     ]
     for _ in range(200):
         rights = [t for t in universe if rng.random() < 0.5]
-        d = check_right(rights, "file", "read", rng.choice(["ftp://h/a", "x"]))
-        assert d.allowed == (d.matched_tuple is not None)
-        if d.allowed:
-            assert d.matched_tuple in rights
+        target = rng.choice(["ftp://h/a", "x"])
+        matched = check_right(rights, "file", "read", target)
+        covering = [
+            t
+            for t in rights
+            if (t.service_type, t.action) == ("file", "read")
+            and match_target(t.target, t.match_mode, target)
+        ]
+        # The first covering right in the given order, or None if none covers.
+        assert matched == (covering[0] if covering else None)
 
 
 def test_decision_is_plain_value():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import itertools
 import os
+import socket
 import statistics
 import threading
 import time
@@ -14,7 +15,6 @@ import pytest
 from vo_authz import wire
 from vo_authz.client import ResourceSession, ServiceError
 from vo_authz.credentials import (
-    VerifiedRights,
     answer_challenge,
     assertion_to_doc,
     generate_keypair,
@@ -23,11 +23,10 @@ from vo_authz.engine import Decision
 from vo_authz.file_server import (
     AccountDecision,
     AccountInfo,
-    AuditError,
     AuditLog,
     MAX_PUT_BYTES,
-    MappingError,
     PathError,
+    Refusal,
     ResourceService,
     authorize_file_op,
     canonical_path,
@@ -126,39 +125,40 @@ ROLE_MAP = (("atlas/admin", "admin"), ("atlas/data", "data"))
 GRID_MAP = {CAS_DN: ("admin", "data"), TULL: ("tull",)}
 
 
-def held(subject, issuer, *rights) -> VerifiedRights:
-    return VerifiedRights(issuer=issuer, subject=subject, rights=tuple(rights))
+def held(subject, issuer, *rights) -> tuple:
+    """``map_to_account``'s first three arguments: who holds which rights from whom."""
+    return subject, issuer, tuple(rights)
 
 
 def test_role_maps_to_shared_account():
-    decision = map_to_account(held(ORWELL, CAS_DN, DATA_ROLE), ROLE_MAP, GRID_MAP)
+    decision = map_to_account(*held(ORWELL, CAS_DN, DATA_ROLE), ROLE_MAP, GRID_MAP)
     assert decision.account == "data"
     assert decision.via == "role:atlas/data"
 
 
 def test_no_role_falls_back_to_personal_account():
-    decision = map_to_account(held(TULL, TULL), ROLE_MAP, GRID_MAP)
+    decision = map_to_account(*held(TULL, TULL), ROLE_MAP, GRID_MAP)
     assert decision.account == "tull"
     assert decision.via == "personal"
 
 
 def test_issuer_must_be_cleared_for_the_account():
-    with pytest.raises(MappingError) as exc:
-        map_to_account(held(ORWELL, OTHER_CAS_DN, DATA_ROLE), ROLE_MAP, GRID_MAP)
-    assert exc.value.code == "issuer-not-authorized-for-account"
+    with pytest.raises(Refusal) as exc:
+        map_to_account(*held(ORWELL, OTHER_CAS_DN, DATA_ROLE), ROLE_MAP, GRID_MAP)
+    assert (exc.value.status, exc.value.code) == (403, "issuer-not-authorized-for-account")
 
 
 def test_no_role_and_no_personal_mapping():
-    with pytest.raises(MappingError) as exc:
-        map_to_account(held(WELLS, WELLS), ROLE_MAP, GRID_MAP)
-    assert exc.value.code == "no-role-and-no-personal-mapping"
+    with pytest.raises(Refusal) as exc:
+        map_to_account(*held(WELLS, WELLS), ROLE_MAP, GRID_MAP)
+    assert (exc.value.status, exc.value.code) == (403, "no-role-and-no-personal-mapping")
 
 
 def test_first_matching_role_wins_in_any_file_order():
     verified = held(TULL, CAS_DN, ADMIN_ROLE, DATA_ROLE)
     entries = [("atlas/admin", "admin"), ("atlas/data", "data"), ("cms/prod", "admin")]
     for order in itertools.permutations(entries):
-        decision = map_to_account(verified, tuple(order), GRID_MAP)
+        decision = map_to_account(*verified, tuple(order), GRID_MAP)
         first_held = next(r for r, _ in order if r in ("atlas/admin", "atlas/data"))
         assert decision.via == "role:%s" % first_held
 
@@ -168,27 +168,27 @@ def test_issuer_check_applies_to_the_winning_role_only():
     # subject does not hold that role, so the walk passes it by.
     verified = held(ORWELL, CAS_DN, DATA_ROLE)
     grid = {CAS_DN: ("data",)}
-    decision = map_to_account(verified, ROLE_MAP, grid)
+    decision = map_to_account(*verified, ROLE_MAP, grid)
     assert decision.account == "data"
 
 
 def test_personal_fallback_ignores_issuer_entry():
     # Personal mapping is keyed by the subject; the issuer needs no
     # grid-map entry of its own for it.
-    decision = map_to_account(held(TULL, CAS_DN), ROLE_MAP, {TULL: ("tull",)})
+    decision = map_to_account(*held(TULL, CAS_DN), ROLE_MAP, {TULL: ("tull",)})
     assert decision.account == "tull"
     assert decision.via == "personal"
 
 
 def test_personal_fallback_picks_lexicographically_first():
-    decision = map_to_account(held(TULL, TULL), (), {TULL: ("zeta", "alpha")})
+    decision = map_to_account(*held(TULL, TULL), (), {TULL: ("zeta", "alpha")})
     assert decision.account == "alpha"
 
 
 def test_wildcard_role_grants_do_not_map():
     star = RightsTuple("group", "member", "atlas/*", match_mode="wildcard")
-    with pytest.raises(MappingError):
-        map_to_account(held(ORWELL, CAS_DN, star), ROLE_MAP, GRID_MAP)
+    with pytest.raises(Refusal):
+        map_to_account(*held(ORWELL, CAS_DN, star), ROLE_MAP, GRID_MAP)
 
 
 # -- paths ------------------------------------------------------------------------
@@ -325,8 +325,16 @@ def test_sibling_prefix_not_under_public():
 def test_audit_log_failure_is_an_error(tmp_path):
     log = AuditLog(str(tmp_path / "audit.log"))
     log.close()
-    with pytest.raises(AuditError):
+    with pytest.raises(wire.Refusal) as exc:
         log.write(STAMP, TULL, CAS_DN, "-", "-", "MAP", "-", "deny", "x")
+    # A plain wire.Refusal: the session step that audits file refusals
+    # must not catch it and try to audit it.
+    assert not isinstance(exc.value, Refusal)
+    assert exc.value.reply() == wire.reply(
+        500,
+        code="audit-unavailable",
+        message="cannot record the operation, refusing to serve it",
+    )
 
 
 def test_audit_line_sanitizes_path_column(tmp_path):
@@ -449,6 +457,31 @@ def test_role_session_round_trip(resource_env, identities, cas_identity, now):
         assert get_bytes(session, "/home/data/new.dat") == b"fresh payload"
         assert session.ls("/home/data") == ["new.dat", "run1.dat"]
         session.quit()
+
+
+def test_get_answers_with_one_frame_then_exactly_its_bytes(
+    resource_env, identities, cas_identity, now
+):
+    sock = socket.create_connection(resource_env.address, timeout=5.0)
+    channel = wire.Channel(sock, timeout=5.0)
+    try:
+        assertion = assertion_to_doc(data_assertion(cas_identity, now))
+        request = {"type": "present_assertion", "assertion": assertion}
+        answer_challenge(channel, identities.bundle(ORWELL), request)
+        assert channel.recv_frame()["status"] == 200
+        get = {"type": "command", "op": "GET", "path": "/home/data/run1.dat"}
+        channel.send_frames(get, {"type": "command", "op": "QUIT"})
+        # The service closes after QUIT, so this reads all it sent for both.
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    finally:
+        channel.close()
+    assert raw == (
+        wire.encode_frame(wire.reply(200, size=len(RUN1_BYTES)))
+        + RUN1_BYTES
+        + wire.encode_frame(wire.reply(200, message="bye"))
+    )
 
 
 def test_small_gets_and_puts_do_not_wait_for_delayed_acks(
@@ -1172,13 +1205,11 @@ def test_get_through_a_symlink_inside_the_root_is_bad_path(
         session.quit()
 
 
-def recv_reply(channel):
+def recv_reply(channel, op):
     """One command's reply; a GET's payload is read and dropped."""
     reply = channel.recv_frame()
-    if reply["status"] == 200 and "entries" not in reply and "size" not in reply:
-        header = channel.recv_frame()
-        if header["type"] == "data_header":
-            channel.recv_bytes_to(header["size"], io.BytesIO())
+    if op == "GET" and reply["status"] == 200:
+        channel.recv_bytes_to(reply["size"], io.BytesIO())
     return reply
 
 
@@ -1211,7 +1242,7 @@ def test_commands_leave_no_open_descriptors(refusal_env, identities, cas_identit
         for round_number in range(51):
             for op, path in commands:
                 send_command(channel, op, path.replace("%d", str(round_number)))
-                recv_reply(channel)
+                recv_reply(channel, op)
             if round_number in (0, 50):
                 counts.append(len(os.listdir("/proc/self/fd")))
         channel.send_frame({"type": "command", "op": "QUIT"})

@@ -167,6 +167,18 @@ def test_deeply_nested_frame_rejected(pair):
         sender.join(timeout=5)
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="no integer digit limit here"
+)
+def test_integer_of_too_many_digits_rejected(pair):
+    # json.loads raises a bare ValueError past the interpreter's digit limit.
+    left, right = pair
+    data = b'{"type":"auth","n":%s}' % (b"9" * (sys.get_int_max_str_digits() + 700))
+    left.send_bytes(struct.pack(">I", len(data)) + data)
+    with pytest.raises(ProtocolError):
+        right.recv_frame()
+
+
 def test_frame_without_type_rejected(pair):
     left, right = pair
     left.send_bytes(struct.pack(">I", 2) + b"{}")
