@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import timedelta
 from typing import Optional
 
@@ -64,7 +64,7 @@ class CasConfig:
 def load_cas_config(path: str) -> CasConfig:
     """Load a key=value config file; relative paths resolve against it."""
     with open(path, "r", encoding="utf-8") as handle:
-        raw = parse_kv_config(handle.read())
+        raw = parse_kv_config(handle.read(), [f.name for f in fields(CasConfig)])
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(name: str) -> Optional[str]:
@@ -119,7 +119,7 @@ class CasService:
 
     def handle_session(self, channel: wire.Channel) -> None:
         """Authenticate the peer, then answer its one request."""
-        subject = authenticate_peer(channel, self.trust_root, self.clock())
+        subject = authenticate_peer(channel, self.trust_root, self.clock()).identity.subject
         channel.send_frame(self.handle_request(subject, channel.recv_frame()))
 
     def handle_request(self, subject: str, frame: dict) -> dict:

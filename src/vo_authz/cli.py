@@ -37,8 +37,8 @@ from .client import (
     load_unexpired_tag,
     store_tag,
 )
-from .credentials import CredentialError, format_timestamp
-from .engine import parse_filter_file
+from .credentials import CredentialError, format_timestamp, utc_now
+from .engine import parse_filter_file, roles_in
 
 DEFAULT_CAS_ADDRESS = "localhost:9000"
 DEFAULT_RESOURCE_ADDRESS = "localhost:2813"
@@ -199,13 +199,13 @@ def _download(session: ResourceSession, remote: str, local: str) -> None:
 
 
 def _cmd_tags(directory: str) -> int:
-    for info in list_tags(directory):
-        roles = ",".join(info.roles) or "-"
-        flag = "\texpired" if info.expired else ""
-        print(
-            "%s\t%s\t%s\t%s%s"
-            % (info.tag, info.subject, roles, format_timestamp(info.not_after), flag)
-        )
+    now = utc_now()
+    for tag, assertion in list_tags(directory):
+        body = assertion.body
+        roles = ",".join(roles_in(body.rights)) or "-"
+        expiry = format_timestamp(body.not_after)
+        flag = "\texpired" if now >= body.not_after else ""
+        print("%s\t%s\t%s\t%s%s" % (tag, body.subject, roles, expiry, flag))
     return 0
 
 

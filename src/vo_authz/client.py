@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import timedelta
 from typing import Optional, Sequence
 
 from . import wire
@@ -38,7 +37,6 @@ from .credentials import (
     session_to_doc,
     utc_now,
 )
-from .engine import roles_in
 from .policy import RightsTuple
 
 TAG_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_-]*\Z")
@@ -143,15 +141,6 @@ def load_session(directory: str, clock: Clock = utc_now) -> SessionBundle:
 # -- tagged assertions -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TagInfo:
-    tag: str
-    subject: str
-    roles: tuple[str, ...]
-    not_after: datetime
-    expired: bool
-
-
 def store_tag(directory: str, tag: str, assertion: Assertion, clock: Clock = utc_now) -> bool:
     """Write a tag file atomically; returns whether a tag was replaced."""
     path = _tag_path(directory, tag)
@@ -188,31 +177,21 @@ def load_unexpired_tag(directory: str, tag: str, clock: Clock = utc_now) -> Asse
     return assertion
 
 
-def list_tags(directory: str, clock: Clock = utc_now) -> list[TagInfo]:
+def list_tags(directory: str) -> list[tuple[str, Assertion]]:
+    """``(tag, assertion)`` for every readable tag, in tag order."""
     tags_dir = os.path.join(directory, TAGS_DIR)
     if not os.path.isdir(tags_dir):
         return []
-    now = clock()
-    infos = []
+    tags = []
     for name in sorted(os.listdir(tags_dir)):
         if not name.endswith(".json"):
             continue
         tag = name[: -len(".json")]
         try:
-            assertion = load_tag(directory, tag)
+            tags.append((tag, load_tag(directory, tag)))
         except ClientError:
             continue
-        body = assertion.body
-        infos.append(
-            TagInfo(
-                tag=tag,
-                subject=body.subject,
-                roles=tuple(roles_in(body.rights)),
-                not_after=body.not_after,
-                expired=now >= body.not_after,
-            )
-        )
-    return infos
+    return tags
 
 
 # -- issuance protocol client ------------------------------------------------------
@@ -328,7 +307,7 @@ class ResourceSession:
         size = self._ask({"type": "command", "op": "GET", "path": path}).get("size")
         if not wire.is_size(size):
             raise ServiceError(500, "protocol-error", "GET reply lacks a valid size")
-        self._channel.recv_bytes_to(size, writer)
+        self._channel.recv_bytes_to(size, writer.write)
         return size
 
     def put(self, path: str, data: bytes) -> None:

@@ -558,8 +558,8 @@ def session_from_doc(doc) -> SessionCredential:
 # identity to services, and a service learns the peer's subject DN.
 
 
-def authenticate_peer(channel, trust_root: bytes, now: datetime) -> str:
-    """Run the verifier side of the handshake; return the peer's subject DN."""
+def authenticate_peer(channel, trust_root: bytes, now: datetime) -> SessionCredential:
+    """Run the verifier side of the handshake; return the peer's verified session."""
     nonce = secrets.token_bytes(32)
     channel.send_frame({"type": "challenge", "nonce": _b64(nonce)})
     try:
@@ -584,7 +584,7 @@ def authenticate_peer(channel, trust_root: bytes, now: datetime) -> str:
         _check_signature(session.session_public_key, nonce_signature, nonce + AUTH_CONTEXT)
     except InvalidSignature:
         raise HandshakeError("nonce-mismatch", "nonce signature does not verify") from None
-    return session.identity.subject
+    return session
 
 
 def answer_challenge(channel, bundle: SessionBundle, request: Optional[dict] = None) -> None:

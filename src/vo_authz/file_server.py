@@ -44,7 +44,7 @@ import secrets
 import stat
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 from . import wire
@@ -52,6 +52,7 @@ from .credentials import (
     Clock,
     CredentialError,
     MalformedCredential,
+    SessionCredential,
     assertion_from_doc,
     authenticate_peer,
     format_timestamp,
@@ -179,22 +180,16 @@ def parse_account_table(text: str) -> dict[str, AccountInfo]:
 # -- account mapping -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AccountDecision:
-    """Which local account a session runs as, and why."""
-
-    account: str
-    via: str  # "role:<vo>/<name>" or "personal"
-
-
 def map_to_account(
     subject: str,
     issuer: str,
     rights: tuple[RightsTuple, ...],
     role_map: tuple[tuple[str, str], ...],
     grid_map: Mapping[str, tuple[str, ...]],
-) -> AccountDecision:
-    """Map an issuer's verified rights for ``subject`` to a local account.
+) -> tuple[str, str]:
+    """Map an issuer's verified rights for ``subject`` to ``(account, via)``.
+
+    ``via`` is ``"role:<vo>/<name>"`` or ``"personal"``.
 
     The role map is walked in file order and the first role the rights
     confer wins. The winning account must appear in the issuer's
@@ -214,7 +209,7 @@ def map_to_account(
                 "issuer-not-authorized-for-account",
                 "issuer %r may not map role %s to account %r" % (issuer, role, account),
             )
-        return AccountDecision(account=account, via="role:%s" % role)
+        return account, "role:%s" % role
     personal = grid_map.get(subject, ())
     if not personal:
         raise Refusal(
@@ -222,7 +217,7 @@ def map_to_account(
             "no-role-and-no-personal-mapping",
             "no role matched and %r has no personal account" % subject,
         )
-    return AccountDecision(account=sorted(personal)[0], via="personal")
+    return sorted(personal)[0], "personal"
 
 
 # -- path handling -------------------------------------------------------------
@@ -252,7 +247,7 @@ def _under(path: str, prefix: str) -> bool:
 
 def authorize_file_op(
     rights: tuple[RightsTuple, ...],
-    decision: AccountDecision,
+    account: str,
     op: str,
     path: str,
     account_table: Mapping[str, AccountInfo],
@@ -274,7 +269,7 @@ def authorize_file_op(
         matched = check_right(file_tuples, FILE_SERVICE_TYPE, action, file_url(server_name, path))
         if matched is None:
             return Decision(False, None, "cas-rights")
-    info = account_table[decision.account]
+    info = account_table[account]
     if action == READ_ACTION:
         local_ok = _under(path, info.home) or (
             public_root is not None and _under(path, public_root)
@@ -385,19 +380,20 @@ class ResourceService:
     # -- session driving -------------------------------------------------------
 
     def handle_session(self, channel: wire.Channel) -> None:
-        subject = authenticate_peer(channel, self.trust_root, self.clock())
-        _Session(self, subject).run(channel)
+        _Session(self, authenticate_peer(channel, self.trust_root, self.clock())).run(channel)
 
 
 class _Session:
     """One authenticated connection's state and command loop."""
 
-    def __init__(self, service: ResourceService, subject: str):
+    def __init__(self, service: ResourceService, session: SessionCredential):
         self.service = service
-        self.subject = subject
+        self.subject = session.identity.subject
+        self.deadline = session.not_after  # lowered to the assertion's if that is earlier
         self.rights: tuple[RightsTuple, ...] = ()
         self.issuer: Optional[str] = None  # set once an assertion parses
-        self.decision: Optional[AccountDecision] = None
+        self.account: Optional[str] = None  # set once mapped, with ``via``
+        self.via: Optional[str] = None
 
     def run(self, channel: wire.Channel) -> None:
         frame = channel.recv_frame()
@@ -412,26 +408,25 @@ class _Session:
         """Run ``handler(channel, frame)``; returns whether the session goes on.
 
         This is the one place a :class:`Refusal` is audited and answered.
-        A refused mapping and a failed write (500) end the session. A
-        failed audit write raises a plain :class:`wire.Refusal`, which is
-        not caught here: it ends the session unaudited, and
-        :class:`wire.Server` answers it.
+        A refused mapping, an expired session (401) and a failed write
+        (500) end the session. A failed audit write raises a plain
+        :class:`wire.Refusal`, which is not caught here: it ends the
+        session unaudited, and :class:`wire.Server` answers it.
         """
         try:
             return handler(channel, frame)
         except Refusal as refusal:
             self._audit(op, refusal.path or str(path), refusal.code)
             channel.send_frame(refusal.reply())
-            return op != "MAP" and refusal.status != 500
+            return op != "MAP" and refusal.status not in (401, 500)
 
     def _audit(self, op: str, path: str, reason: str) -> None:
-        decision = self.decision
         self.service.audit_log.write(
             format_timestamp(self.service.clock()),
             self.subject,
             self.issuer or _NO_VALUE,
-            decision.account if decision else _NO_VALUE,
-            decision.via if decision else _NO_VALUE,
+            self.account or _NO_VALUE,
+            self.via or _NO_VALUE,
             op,
             path,
             "allow" if reason == "ok" else "deny",
@@ -455,19 +450,18 @@ class _Session:
                 "subject-mismatch",
                 "assertion subject %r does not match the authenticated peer" % body.subject,
             )
-        self.decision = map_to_account(
+        self.account, self.via = map_to_account(
             body.subject, body.issuer, body.rights, service.role_map, service.grid_map
         )
         self.rights = body.rights
-        channel.send_frame(
-            wire.reply(200, account=self.decision.account, via=self.decision.via)
-        )
+        self.deadline = min(self.deadline, body.not_after)
+        channel.send_frame(wire.reply(200, account=self.account, via=self.via))
         return True
 
     def _map_personal(self, channel: wire.Channel, frame: dict) -> bool:
         """Sessions without an assertion map on first use, personally."""
         service = self.service
-        self.decision = map_to_account(
+        self.account, self.via = map_to_account(
             self.subject, self.subject, (), service.role_map, service.grid_map
         )
         return True
@@ -488,7 +482,7 @@ class _Session:
         if op == "QUIT":
             channel.send_frame(wire.reply(200, message="bye"))
             return False
-        if self.decision is None and not self._serve(
+        if self.account is None and not self._serve(
             channel, "MAP", _NO_VALUE, self._map_personal, frame
         ):
             return False
@@ -498,15 +492,19 @@ class _Session:
     def _authorize(self, op: str, raw_path) -> tuple[str, int, str]:
         """Canonicalize, authorize and resolve a client path: ``(path, parent_fd, leaf)``.
 
-        The caller closes ``parent_fd``.
+        Past the session's deadline every command is refused 401
+        ``expired``. The caller closes ``parent_fd``.
         """
         service = self.service
+        if service.clock() >= self.deadline:
+            message = "credentials expired at %s" % format_timestamp(self.deadline)
+            raise Refusal(401, "expired", message)
         path = None  # a path that fails canonicalization is audited raw
         try:
             path = canonical_path(raw_path)
             verdict = authorize_file_op(
                 self.rights,
-                self.decision,
+                self.account,
                 op,
                 path,
                 service.account_table,
@@ -596,10 +594,16 @@ class _Session:
                 os.close(parent)
             # The payload bytes follow the command frame unconditionally, so
             # a refusal must still drain them to keep the stream aligned.
-            channel.recv_bytes_to(size, _NullSink())
+            channel.recv_bytes_to(size, lambda data: None)
             raise
+
+        def write(data: bytes) -> None:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+
         try:
-            channel.recv_bytes_to(size, _FileWriter(fd))
+            channel.recv_bytes_to(size, write)
             # The name appears only once the whole upload is in place, and
             # a link, unlike a rename, never replaces an existing name.
             os.link(temporary, leaf, src_dir_fd=parent, dst_dir_fd=parent)
@@ -616,23 +620,6 @@ class _Session:
         self._audit("PUT", path, "ok")
         channel.send_frame(wire.reply(200, size=size))
         return True
-
-
-class _NullSink:
-    def write(self, data: bytes) -> None:
-        pass
-
-
-class _FileWriter:
-    """``write`` straight to a file descriptor, with no buffer in between."""
-
-    def __init__(self, fd: int):
-        self._fd = fd
-
-    def write(self, data: bytes) -> None:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(self._fd, view):]
 
 
 def _open_at(dir_fd: int, name: str, flags: int) -> int:
@@ -719,7 +706,7 @@ class FileServiceConfig:
 
 def load_file_config(path: str) -> FileServiceConfig:
     with open(path, "r", encoding="utf-8") as handle:
-        raw = parse_kv_config(handle.read())
+        raw = parse_kv_config(handle.read(), [f.name for f in fields(FileServiceConfig)])
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(value: str) -> str:

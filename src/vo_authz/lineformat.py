@@ -38,6 +38,11 @@ _FIELD_RE = re.compile(
     r"|(#)"  # comment: ends the line
 )
 _NEEDS_QUOTES = re.compile(r"[\s#]")
+# A config value, with one space put before it: it runs up to a ``#``
+# that is outside double quotes and follows whitespace, so a ``#`` that
+# begins the value starts a comment too. An unterminated quote runs to
+# the end of the line, for the caller's list parser to refuse.
+_KV_VALUE_RE = re.compile(r'(?:"[^"]*(?:"|$)|[^\s"]|\s(?!#))*')
 
 
 def split_fields(line: str) -> list[str]:
@@ -76,12 +81,13 @@ def for_each_line(text: str, handle_line, catch=ValueError) -> None:
             raise LineError(lineno, str(exc)) from exc
 
 
-def parse_kv_config(text: str) -> dict[str, str]:
-    """Parse ``key = value`` configuration text.
+def parse_kv_config(text: str, keys) -> dict[str, str]:
+    """Parse ``key = value`` configuration text whose keys are among ``keys``.
 
-    Values keep everything after the first ``=`` (trimmed); surrounding
-    double quotes on the whole value are preserved so list-valued keys
-    can be re-tokenized by the caller.
+    Values keep everything after the first ``=`` up to a comment
+    (trimmed); double quotes are preserved so list-valued keys can be
+    re-tokenized by the caller. An unknown key and a repeated key are
+    errors that name the key and its line.
     """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -94,7 +100,11 @@ def parse_kv_config(text: str) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise LineFormatError("line %d: empty key" % lineno)
-        out[key] = value.strip()
+        if key not in keys:
+            raise LineFormatError("line %d: unknown key %r" % (lineno, key))
+        if key in out:
+            raise LineFormatError("line %d: repeated key %r" % (lineno, key))
+        out[key] = _KV_VALUE_RE.match(" " + value).group().strip()
     return out
 
 

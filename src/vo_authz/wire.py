@@ -136,16 +136,16 @@ class Channel:
             self.send_bytes(frames)
             self.send_bytes(payload)
 
-    def recv_bytes_to(self, size: int, writer) -> None:
-        """Stream exactly ``size`` payload bytes into ``writer.write``."""
+    def recv_bytes_to(self, size: int, write) -> None:
+        """Stream exactly ``size`` payload bytes into ``write``, a chunk a call."""
         buffered = min(size, len(self._buffer))
         if buffered:
-            writer.write(bytes(self._buffer[:buffered]))
+            write(bytes(self._buffer[:buffered]))
             del self._buffer[:buffered]
         remaining = size - buffered
         while remaining > 0:
             chunk = self._recv_some(min(CHUNK_BYTES, remaining))
-            writer.write(chunk)
+            write(chunk)
             remaining -= len(chunk)
 
     def close(self) -> None:

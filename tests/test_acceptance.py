@@ -31,7 +31,6 @@ from vo_authz.credentials import (
 )
 from vo_authz.engine import check_right, match_target
 from vo_authz.file_server import (
-    AccountDecision,
     AccountInfo,
     Refusal,
     authorize_file_op,
@@ -237,7 +236,6 @@ def test_criterion_4_personal_fallback_and_truth_table(resource_env, identities,
         session.quit()
 
     # Truth table: allowed == local_ok AND (no file tuples OR they match).
-    decision = AccountDecision(account="data", via="personal")
     table = {"data": AccountInfo("/home/data", True)}
     matching = RightsTuple("file", "read", "ftp://%s/*" % SERVER_NAME, match_mode="wildcard")
     never = RightsTuple(
@@ -248,7 +246,7 @@ def test_criterion_4_personal_fallback_and_truth_table(resource_env, identities,
         rights = () if not has_file else ((matching,) if matches else (never,))
         path = "/home/data/f" if local_ok else "/stray/f"
         verdict = authorize_file_op(
-            rights, decision, "GET", path, table, SERVER_NAME, public_root=None
+            rights, "data", "GET", path, table, SERVER_NAME, public_root=None
         )
         expected = local_ok and (not has_file or matches)
         assert verdict.allowed == expected, (has_file, matches, local_ok)

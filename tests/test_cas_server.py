@@ -441,3 +441,31 @@ def test_config_missing_key_errors(tmp_path):
     (tmp_path / "cas.conf").write_text("listen = :0\n")
     with pytest.raises(ValueError):
         load_cas_config(str(tmp_path / "cas.conf"))
+
+
+CAS_CONF_HEAD = "listen = 127.0.0.1:0\nkey_file = cas_key.json\ntrust_root_file = root.pem\n"
+
+
+def test_server_refuses_a_misspelled_config_key(tmp_path, capsys):
+    # Accepted silently, the typo would leave the policy unpersisted.
+    (tmp_path / "cas.conf").write_text(CAS_CONF_HEAD + "snapshot_fle = policy.snapshot\n")
+    assert cas_main(["--config", str(tmp_path / "cas.conf")]) == 1
+    assert capsys.readouterr().err == "error: line 4: unknown key 'snapshot_fle'\n"
+
+
+def test_config_refuses_a_repeated_key(tmp_path):
+    (tmp_path / "cas.conf").write_text(CAS_CONF_HEAD + "listen = 127.0.0.1:9000\n")
+    with pytest.raises(ValueError) as exc:
+        load_cas_config(str(tmp_path / "cas.conf"))
+    assert str(exc.value) == "line 4: repeated key 'listen'"
+
+
+def test_config_trailing_comments_are_not_part_of_values(tmp_path):
+    (tmp_path / "cas.conf").write_text(
+        CAS_CONF_HEAD
+        + "snapshot_file = policy.snapshot  # kept across restarts\n"
+        + 'admin_dns = "/O=x/CN=A #1", "%s"  # two admins\n' % ADMIN
+    )
+    config = load_cas_config(str(tmp_path / "cas.conf"))
+    assert config.snapshot_file == str(tmp_path / "policy.snapshot")
+    assert config.admin_dns == ("/O=x/CN=A #1", ADMIN)

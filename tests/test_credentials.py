@@ -433,9 +433,9 @@ def test_handshake_happy_path(trust_root, identities, now):
     server, client = handshake_pair()
     bundle = identities.bundle(TULL)
     thread = run_prover(creds.answer_challenge, client, bundle)
-    subject = creds.authenticate_peer(server, trust_root[1], now)
+    session = creds.authenticate_peer(server, trust_root[1], now)
     thread.join(timeout=5)
-    assert subject == TULL
+    assert session == bundle.session
     server.close()
     client.close()
 
@@ -598,7 +598,7 @@ def test_repeat_handshake_verifies_only_the_nonce(trust_root, identities, now, u
     assert len(uncached_checks) == 3
     del uncached_checks[:]
     size = creds._check_signature_cached.cache_info().currsize
-    assert handshake(bundle, trust_root[1], now) == TULL
+    assert handshake(bundle, trust_root[1], now).identity.subject == TULL
     assert len(uncached_checks) == 1
     assert uncached_checks[0].endswith(creds.AUTH_CONTEXT)
     # The nonce signature is never stored either.

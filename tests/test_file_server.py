@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import itertools
 import os
 import socket
@@ -17,11 +16,11 @@ from vo_authz.client import ResourceSession, ServiceError
 from vo_authz.credentials import (
     answer_challenge,
     assertion_to_doc,
+    format_timestamp,
     generate_keypair,
 )
 from vo_authz.engine import Decision
 from vo_authz.file_server import (
-    AccountDecision,
     AccountInfo,
     AuditLog,
     MAX_PUT_BYTES,
@@ -131,15 +130,12 @@ def held(subject, issuer, *rights) -> tuple:
 
 
 def test_role_maps_to_shared_account():
-    decision = map_to_account(*held(ORWELL, CAS_DN, DATA_ROLE), ROLE_MAP, GRID_MAP)
-    assert decision.account == "data"
-    assert decision.via == "role:atlas/data"
+    mapped = map_to_account(*held(ORWELL, CAS_DN, DATA_ROLE), ROLE_MAP, GRID_MAP)
+    assert mapped == ("data", "role:atlas/data")
 
 
 def test_no_role_falls_back_to_personal_account():
-    decision = map_to_account(*held(TULL, TULL), ROLE_MAP, GRID_MAP)
-    assert decision.account == "tull"
-    assert decision.via == "personal"
+    assert map_to_account(*held(TULL, TULL), ROLE_MAP, GRID_MAP) == ("tull", "personal")
 
 
 def test_issuer_must_be_cleared_for_the_account():
@@ -158,9 +154,9 @@ def test_first_matching_role_wins_in_any_file_order():
     verified = held(TULL, CAS_DN, ADMIN_ROLE, DATA_ROLE)
     entries = [("atlas/admin", "admin"), ("atlas/data", "data"), ("cms/prod", "admin")]
     for order in itertools.permutations(entries):
-        decision = map_to_account(*verified, tuple(order), GRID_MAP)
+        _, via = map_to_account(*verified, tuple(order), GRID_MAP)
         first_held = next(r for r, _ in order if r in ("atlas/admin", "atlas/data"))
-        assert decision.via == "role:%s" % first_held
+        assert via == "role:%s" % first_held
 
 
 def test_issuer_check_applies_to_the_winning_role_only():
@@ -168,21 +164,19 @@ def test_issuer_check_applies_to_the_winning_role_only():
     # subject does not hold that role, so the walk passes it by.
     verified = held(ORWELL, CAS_DN, DATA_ROLE)
     grid = {CAS_DN: ("data",)}
-    decision = map_to_account(*verified, ROLE_MAP, grid)
-    assert decision.account == "data"
+    assert map_to_account(*verified, ROLE_MAP, grid) == ("data", "role:atlas/data")
 
 
 def test_personal_fallback_ignores_issuer_entry():
     # Personal mapping is keyed by the subject; the issuer needs no
     # grid-map entry of its own for it.
-    decision = map_to_account(*held(TULL, CAS_DN), ROLE_MAP, {TULL: ("tull",)})
-    assert decision.account == "tull"
-    assert decision.via == "personal"
+    mapped = map_to_account(*held(TULL, CAS_DN), ROLE_MAP, {TULL: ("tull",)})
+    assert mapped == ("tull", "personal")
 
 
 def test_personal_fallback_picks_lexicographically_first():
-    decision = map_to_account(*held(TULL, TULL), (), {TULL: ("zeta", "alpha")})
-    assert decision.account == "alpha"
+    mapped = map_to_account(*held(TULL, TULL), (), {TULL: ("zeta", "alpha")})
+    assert mapped == ("alpha", "personal")
 
 
 def test_wildcard_role_grants_do_not_map():
@@ -259,14 +253,8 @@ TABLE = {
 }
 
 
-def data_decision(account="data"):
-    return AccountDecision(account=account, via="role:atlas/data")
-
-
 def check(rights, op, path, account="data", public_root="/public") -> Decision:
-    return authorize_file_op(
-        tuple(rights), data_decision(account), op, path, TABLE, SERVER_NAME, public_root
-    )
+    return authorize_file_op(tuple(rights), account, op, path, TABLE, SERVER_NAME, public_root)
 
 
 def test_role_only_session_defers_to_local_perms():
@@ -436,6 +424,15 @@ def test_load_file_config_requires_every_key(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_file_config(str(tmp_path / "files.conf"))
     assert "trust_root_file" in str(exc.value)
+
+
+def test_load_file_config_refuses_an_unknown_key(tmp_path):
+    from vo_authz.file_server import load_file_config
+
+    (tmp_path / "files.conf").write_text("server_name = x\npublic_rot = /public\n")
+    with pytest.raises(ValueError) as exc:
+        load_file_config(str(tmp_path / "files.conf"))
+    assert str(exc.value) == "line 2: unknown key 'public_rot'"
 
 
 # -- sessions over TCP ----------------------------------------------------------------
@@ -1159,6 +1156,77 @@ def test_second_assertion_is_a_protocol_error(refusal_env, identities, cas_ident
     assert refusal_env.audit_lines() == []
 
 
+# -- the session deadline ------------------------------------------------------------
+
+
+@pytest.fixture
+def moving_env(tmp_path, trust_root, cas_identity, now):
+    """A file service whose clock a test sets with ``env.at[0] = ...``."""
+    at = [now]
+    env = ResourceEnv(
+        tmp_path, trust_root[1], {CAS_DN: cas_identity[0].public_key}, lambda: at[0]
+    )
+    env.at = at
+    yield env
+    env.close()
+
+
+def expire_mid_session(env, channel, op, path, deadline):
+    """A LIST a second before ``deadline`` is served; ``op`` at it gets 401 and ends the session."""
+    env.at[0] = deadline - timedelta(seconds=1)
+    send_command(channel, "LIST", "/public")
+    assert channel.recv_frame()["status"] == 200
+    env.at[0] = deadline
+    send_command(channel, op, path)
+    assert channel.recv_frame() == {
+        "type": "response",
+        "status": 401,
+        "code": "expired",
+        "message": "credentials expired at %s" % format_timestamp(deadline),
+    }
+    with pytest.raises(wire.ConnectionClosedError):
+        channel.recv_frame()
+
+
+@pytest.mark.parametrize("op", ["LIST", "GET", "PUT"])
+def test_assertion_that_expires_mid_session_ends_it(
+    moving_env, identities, cas_identity, now, op
+):
+    # A 60 s assertion under a 120 s session credential: the assertion ends it.
+    path = {"LIST": "/home/data", "GET": "/home/data/run1.dat", "PUT": "/home/data/new.dat"}[op]
+    assertion = make_assertion(*cas_identity, ORWELL, (DATA_ROLE,), now, lifetime_seconds=60)
+    channel = wire.connect(moving_env.address, timeout=5.0)
+    try:
+        answer_challenge(channel, identities.bundle(ORWELL, timedelta(seconds=120)))
+        channel.send_frame(
+            {"type": "present_assertion", "assertion": assertion_to_doc(assertion)}
+        )
+        assert channel.recv_frame()["status"] == 200
+        expire_mid_session(moving_env, channel, op, path, assertion.body.not_after)
+    finally:
+        channel.close()
+    stamp = format_timestamp(assertion.body.not_after)
+    assert moving_env.audit_lines()[-1] == [
+        stamp, ORWELL, CAS_DN, "data", "role:atlas/data", op, path, "deny", "expired"
+    ]
+    assert not os.path.exists(os.path.join(moving_env.export_root, "home/data/new.dat"))
+
+
+def test_personal_session_ends_when_its_session_credential_expires(moving_env, identities):
+    bundle = identities.bundle(TULL, timedelta(seconds=120))
+    channel = wire.connect(moving_env.address, timeout=5.0)
+    try:
+        answer_challenge(channel, bundle)
+        deadline = bundle.session.not_after
+        expire_mid_session(moving_env, channel, "GET", "/public/readme.txt", deadline)
+    finally:
+        channel.close()
+    assert moving_env.audit_lines()[-1] == [
+        format_timestamp(bundle.session.not_after),
+        TULL, "-", "tull", "personal", "GET", "/public/readme.txt", "deny", "expired",
+    ]
+
+
 # -- confinement and upload publishing ------------------------------------------------
 
 
@@ -1209,7 +1277,7 @@ def recv_reply(channel, op):
     """One command's reply; a GET's payload is read and dropped."""
     reply = channel.recv_frame()
     if op == "GET" and reply["status"] == 200:
-        channel.recv_bytes_to(reply["size"], io.BytesIO())
+        channel.recv_bytes_to(reply["size"], lambda data: None)
     return reply
 
 

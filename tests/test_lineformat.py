@@ -153,9 +153,12 @@ def test_line_file_error_names_the_line(parse, bad_line):
     assert str(exc.value).startswith("line 3: ")
 
 
+KV_KEYS = ("listen", "key_file", "max", "admin_dns", "k", "snapshot_file")
+
+
 def test_parse_kv_config():
     text = "# cas config\nlisten = :9000\nkey_file= cas_key.pem\nmax = 43200\n"
-    assert parse_kv_config(text) == {
+    assert parse_kv_config(text, KV_KEYS) == {
         "listen": ":9000",
         "key_file": "cas_key.pem",
         "max": "43200",
@@ -164,17 +167,37 @@ def test_parse_kv_config():
 
 def test_parse_kv_config_keeps_value_quotes():
     text = 'admin_dns = "/O=x/CN=A", "/O=x/CN=B"\n'
-    value = parse_kv_config(text)["admin_dns"]
+    value = parse_kv_config(text, KV_KEYS)["admin_dns"]
     assert split_quoted_list(value) == ["/O=x/CN=A", "/O=x/CN=B"]
 
 
 def test_parse_kv_config_value_may_contain_equals():
-    assert parse_kv_config("k = a=b\n") == {"k": "a=b"}
+    assert parse_kv_config("k = a=b\n", KV_KEYS) == {"k": "a=b"}
 
 
 def test_parse_kv_config_rejects_bare_word():
     with pytest.raises(LineFormatError):
-        parse_kv_config("not a kv line\n")
+        parse_kv_config("not a kv line\n", KV_KEYS)
+
+
+@pytest.mark.parametrize(
+    "line, value",
+    [
+        ("snapshot_file = policy.snapshot  # kept across restarts", "policy.snapshot"),
+        ("snapshot_file = policy.snapshot\t# tab", "policy.snapshot"),
+        ("snapshot_file = # nothing", ""),
+        ("snapshot_file =#nothing", ""),
+        ("snapshot_file = a#b", "a#b"),
+        ('admin_dns = "/O=x/CN=A", "/O=x/CN=B"  # two admins', '"/O=x/CN=A", "/O=x/CN=B"'),
+        ('admin_dns = "/O=x/CN=A #1" # one admin', '"/O=x/CN=A #1"'),
+        ('admin_dns = "/O=x/CN=A # open', '"/O=x/CN=A # open'),
+    ],
+)
+def test_parse_kv_config_comment_starts_at_a_hash_after_whitespace_outside_quotes(
+    line, value
+):
+    key = line.partition(" ")[0]
+    assert parse_kv_config(line + "\n", KV_KEYS) == {key: value}
 
 
 @pytest.mark.parametrize(

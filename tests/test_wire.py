@@ -64,7 +64,7 @@ def test_raw_bytes_after_frame(pair):
     left.send_bytes(payload)
     header = right.recv_frame()
     sink = io.BytesIO()
-    right.recv_bytes_to(header["size"], sink)
+    right.recv_bytes_to(header["size"], sink.write)
     assert sink.getvalue() == payload
 
 
@@ -73,7 +73,7 @@ def test_recv_bytes_to_streams_into_writer(pair):
     payload = b"x" * 100_000
     left.send_bytes(payload)
     sink = io.BytesIO()
-    right.recv_bytes_to(len(payload), sink)
+    right.recv_bytes_to(len(payload), sink.write)
     assert sink.getvalue() == payload
 
 
@@ -91,7 +91,7 @@ def test_frame_and_raw_bytes_in_one_write(pair):
     left.send_frame({"type": "after"})
     assert right.recv_frame() == {"type": "data_header", "size": len(payload)}
     sink = io.BytesIO()
-    right.recv_bytes_to(len(payload), sink)
+    right.recv_bytes_to(len(payload), sink.write)
     assert sink.getvalue() == payload
     assert right.recv_frame() == {"type": "after"}
 
@@ -113,7 +113,7 @@ def test_payload_over_a_chunk_follows_its_frames(pair, monkeypatch):
     try:
         assert right.recv_frame() == header
         sink = io.BytesIO()
-        right.recv_bytes_to(len(payload), sink)
+        right.recv_bytes_to(len(payload), sink.write)
     finally:
         sender.join(timeout=5)
     assert not sender.is_alive()
@@ -130,7 +130,7 @@ def test_frame_fed_one_byte_at_a_time(pair, monkeypatch):
     left.send_frame({"type": "next"})
     assert right.recv_frame() == message
     sink = io.BytesIO()
-    right.recv_bytes_to(3, sink)
+    right.recv_bytes_to(3, sink.write)
     assert sink.getvalue() == b"xyz"
     assert right.recv_frame() == {"type": "next"}
 
