@@ -83,7 +83,20 @@ vo-cas-server --config cas.conf > cas-server.log 2>&1 &
 CAS_PID=$!
 vo-file-server --config files.conf > file-server.log 2>&1 &
 FILE_PID=$!
-trap 'kill $CAS_PID $FILE_PID 2>/dev/null || true' EXIT
+# SIGTERM stops a server as Ctrl-C does: it ends its open sessions and
+# exits 0. Anything else is a failed demo.
+stop_services() {
+    local status=$?
+    kill "$CAS_PID" "$FILE_PID" 2>/dev/null || true
+    for pid in "$CAS_PID" "$FILE_PID"; do
+        if ! wait "$pid"; then
+            echo "ERROR: server $pid did not exit cleanly" >&2
+            status=1
+        fi
+    done
+    exit "$status"
+}
+trap stop_services EXIT
 python3 - "$CAS_ADDR" "$FILE_ADDR" <<'EOF'
 import socket, sys, time
 for spec in sys.argv[1:]:

@@ -197,17 +197,31 @@ def list_tags(directory: str) -> list[tuple[str, Assertion]]:
 # -- issuance protocol client ------------------------------------------------------
 
 
+def _protocol_error(message: str) -> ServiceError:
+    return ServiceError(500, "protocol-error", message)
+
+
 def _reply(channel: wire.Channel) -> dict:
-    """Read a service's reply; any status but 200 raises :class:`ServiceError`."""
+    """Read a service's reply; any status but 200 raises :class:`ServiceError`,
+    and a malformed reply a 500 ``protocol-error``."""
     frame = channel.recv_frame()
     if frame["type"] != "response":
-        raise ServiceError(500, "protocol-error", "unexpected frame %r" % frame["type"])
-    if frame.get("status") != 200:
+        raise _protocol_error("unexpected frame %r" % frame["type"])
+    status = frame.get("status")
+    if type(status) is not int:
+        raise _protocol_error("reply lacks an integer status")
+    if status != 200:
+        uncovered = frame.get("uncovered", [])
+        try:
+            for entry in uncovered:
+                RightsTuple.from_dict(entry)
+        except (TypeError, ValueError) as exc:  # not a list of rights tuples
+            raise _protocol_error("reply has bad uncovered rights: %s" % exc) from None
         raise ServiceError(
-            frame.get("status", 500),
+            status,
             frame.get("code", "error"),
             frame.get("message", "unspecified error"),
-            uncovered=frame.get("uncovered"),
+            uncovered=uncovered,
         )
     return frame
 
@@ -299,14 +313,16 @@ class ResourceSession:
         return _reply(self._channel)
 
     def ls(self, path: str) -> list[str]:
-        frame = self._ask({"type": "command", "op": "LIST", "path": path})
-        return list(frame.get("entries", []))
+        entries = self._ask({"type": "command", "op": "LIST", "path": path}).get("entries")
+        if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
+            raise _protocol_error("LIST reply lacks a list of names")
+        return entries
 
     def get(self, path: str, writer) -> int:
         """Download into ``writer.write``; returns the byte count."""
         size = self._ask({"type": "command", "op": "GET", "path": path}).get("size")
         if not wire.is_size(size):
-            raise ServiceError(500, "protocol-error", "GET reply lacks a valid size")
+            raise _protocol_error("GET reply lacks a valid size")
         self._channel.recv_bytes_to(size, writer.write)
         return size
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .lineformat import for_each_line
+from .lineformat import parse_lines
 from .policy import (
     EXACT,
     WILDCARD,
@@ -143,14 +143,10 @@ def filter_rights(
 def parse_filter_file(text: str) -> list[RightsTuple]:
     """Parse a rights-filter file: one ``<servicetype> <action> <target>
     <exact|wildcard>`` tuple per line, ``#`` comments allowed."""
-    tuples: list[RightsTuple] = []
+    return parse_lines(text, "<servicetype> <action> <target> <exact|wildcard>", _filter_tuple)
 
-    def parse(fields: list[str]) -> None:
-        if len(fields) != 4:
-            raise ValueError("expected <servicetype> <action> <target> <exact|wildcard>")
-        if fields[3] not in (EXACT, WILDCARD):
-            raise ValueError("bad match mode %r" % fields[3])
-        tuples.append(RightsTuple(*fields))
 
-    for_each_line(text, parse)
-    return tuples
+def _filter_tuple(service_type: str, action: str, target: str, mode: str) -> RightsTuple:
+    if mode not in (EXACT, WILDCARD):
+        raise ValueError("bad match mode %r" % mode)
+    return RightsTuple(service_type, action, target, mode)

@@ -69,7 +69,7 @@ from .engine import (
     check_right,
     roles_in,
 )
-from .lineformat import for_each_line, parse_kv_config, split_quoted_list
+from .lineformat import parse_kv_config, parse_lines, split_quoted_list
 from .policy import RightsTuple, validate_role_name, validate_subject_dn
 
 ACCOUNT_RE = re.compile(r"[a-z_][a-z0-9_-]*\Z")
@@ -122,33 +122,27 @@ def _validate_account(token: str) -> str:
 
 def parse_role_map(text: str) -> tuple[tuple[str, str], ...]:
     """Parse ``<vo>/<role> <account>`` lines; order is significant."""
-    entries: list[tuple[str, str]] = []
+    return tuple(parse_lines(text, "<vo>/<role> <account>", _role_entry))
 
-    def parse(fields: list[str]) -> None:
-        if len(fields) != 2:
-            raise ValueError("expected <vo>/<role> <account>")
-        entries.append((validate_role_name(fields[0]), _validate_account(fields[1])))
 
-    for_each_line(text, parse)
-    return tuple(entries)
+def _role_entry(role: str, account: str) -> tuple[str, str]:
+    return validate_role_name(role), _validate_account(account)
 
 
 def parse_grid_map(text: str) -> dict[str, tuple[str, ...]]:
     """Parse ``"<DN>" <account>[,<account>...]`` lines."""
     entries: dict[str, tuple[str, ...]] = {}
-
-    def parse(fields: list[str]) -> None:
-        if len(fields) != 2:
-            raise ValueError('expected "<DN>" <account>[,<account>...]')
-        dn = validate_subject_dn(fields[0])
-        accounts = [_validate_account(a) for a in split_quoted_list(fields[1])]
-        if not accounts:
-            raise ValueError("empty account list")
-        merged = entries.get(dn, ()) + tuple(accounts)
-        entries[dn] = tuple(dict.fromkeys(merged))
-
-    for_each_line(text, parse)
+    for dn, accounts in parse_lines(text, '"<DN>" <account>[,<account>...]', _grid_entry):
+        entries[dn] = tuple(dict.fromkeys(entries.get(dn, ()) + accounts))
     return entries
+
+
+def _grid_entry(dn: str, accounts: str) -> tuple[str, tuple[str, ...]]:
+    dn = validate_subject_dn(dn)
+    names = tuple(_validate_account(a) for a in split_quoted_list(accounts))
+    if not names:
+        raise ValueError("empty account list")
+    return dn, names
 
 
 @dataclass(frozen=True)
@@ -161,19 +155,14 @@ def parse_account_table(text: str) -> dict[str, AccountInfo]:
     """Parse ``<account> <home-path> <ro|rw>`` lines."""
     table: dict[str, AccountInfo] = {}
 
-    def parse(fields: list[str]) -> None:
-        if len(fields) != 3:
-            raise ValueError("expected <account> <home-path> <ro|rw>")
-        account = _validate_account(fields[0])
-        if account in table:
+    def add(account: str, home: str, mode: str) -> None:
+        if _validate_account(account) in table:
             raise ValueError("duplicate account %r" % account)
-        if fields[2] not in ("ro", "rw"):
-            raise ValueError("mode must be 'ro' or 'rw', got %r" % fields[2])
-        table[account] = AccountInfo(
-            home=canonical_path(fields[1]), writable=fields[2] == "rw"
-        )
+        if mode not in ("ro", "rw"):
+            raise ValueError("mode must be 'ro' or 'rw', got %r" % mode)
+        table[account] = AccountInfo(home=canonical_path(home), writable=mode == "rw")
 
-    for_each_line(text, parse)
+    parse_lines(text, "<account> <home-path> <ro|rw>", add)
     return table
 
 
@@ -786,6 +775,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     server.run("file service %s" % service.server_name)
+    service.audit_log.close()  # no worker is left to write to it
     return 0
 
 

@@ -66,19 +66,28 @@ def quote_field(value: str) -> str:
     return value
 
 
-def for_each_line(text: str, handle_line, catch=ValueError) -> None:
-    """Call ``handle_line(fields)`` for every non-empty, non-comment line.
+def parse_lines(text: str, usage: str | None, build, catch=ValueError) -> list:
+    """``build(*fields)`` for every non-empty, non-comment line, in order.
 
-    A tokenizer error, or a ``catch`` exception from ``handle_line``, is
-    re-raised as :class:`LineError` (line numbers from 1), caused by it.
+    A line must have as many fields as ``usage`` names, or it fails
+    with ``expected <usage>``; with ``usage`` None, ``build`` checks the
+    count itself. A tokenizer error, a wrong count, or a ``catch``
+    exception from ``build`` is re-raised as :class:`LineError` (line
+    numbers from 1), caused by it.
     """
+    arity = usage and len(usage.split())
+    results = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
             fields = split_fields(raw)
-            if fields:
-                handle_line(fields)
+            if not fields:
+                continue
+            if arity and len(fields) != arity:
+                raise ValueError("expected " + usage)
+            results.append(build(*fields))
         except catch as exc:
             raise LineError(lineno, str(exc)) from exc
+    return results
 
 
 def parse_kv_config(text: str, keys) -> dict[str, str]:

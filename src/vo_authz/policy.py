@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Literal, Mapping
 
-from .lineformat import LineError, for_each_line, quote_field
+from .lineformat import LineError, parse_lines, quote_field
 
 TOKEN_RE = re.compile(r"[a-z][a-z0-9_-]*\Z")
 ROLE_PART_RE = re.compile(r"[a-zA-Z0-9][a-zA-Z0-9._-]*\Z")
@@ -262,19 +263,13 @@ def apply_command_file(store: PolicyStore, text: str) -> tuple[PolicyStore, int]
     caller's store is untouched: the commands edit one private working
     copy, frozen into a new store once at the end.
     """
-    applied = 0
     builder = _Builder(store)
-
-    def apply(fields: list[str]) -> None:
-        nonlocal applied
-        _apply_command(builder, fields)
-        applied += 1
-
-    for_each_line(text, apply, catch=(PolicyError, ValueError))
-    return builder.freeze(), applied
+    build = partial(_apply_command, builder)
+    commands = parse_lines(text, None, build, catch=(PolicyError, ValueError))
+    return builder.freeze(), len(commands)
 
 
-def _parse_mode(fields: list[str]) -> MatchMode:
+def _parse_mode(fields: tuple[str, ...]) -> MatchMode:
     if len(fields) == 4:
         return EXACT
     mode = fields[4]
@@ -283,7 +278,7 @@ def _parse_mode(fields: list[str]) -> MatchMode:
     return mode  # type: ignore[return-value]
 
 
-def _apply_command(builder: _Builder, fields: list[str]) -> None:
+def _apply_command(builder: _Builder, *fields: str) -> None:
     verb = fields[0]
     if verb == "servicetype":
         if len(fields) != 3:

@@ -11,11 +11,12 @@ Every answer from a service is one :func:`reply` frame of type
 reply (``code``, ``message`` and any extra fields).
 
 Both services run on :class:`Server`: accept, hand the connection to
-an idle worker thread, which gives the framed channel to the service's
-``handle_session``, answers a refusal or a transport error that ends
-the session, and closes. Workers are reused from one connection to the
-next; past :attr:`Server.max_workers` busy workers a connection is
-answered 503 ``busy`` and closed. TCP sockets on both ends set
+a worker of a stdlib thread pool, which gives the framed channel to the
+service's ``handle_session``, answers a refusal or a transport error
+that ends the session, and closes. Workers are reused from one
+connection to the next; past :attr:`Server.max_workers` open sessions a
+connection is answered 503 ``busy`` and closed. Closing the server
+ends every open session at once. TCP sockets on both ends set
 ``TCP_NODELAY``: a reply written as a frame plus payload in separate
 small writes would otherwise wait on the peer's delayed ACK.
 
@@ -26,14 +27,14 @@ the payload written after it.
 
 from __future__ import annotations
 
-import itertools
 import json
-import queue
+import signal
 import socket
 import socketserver
 import struct
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 MAX_FRAME_BYTES = 1_048_576
 # The most one socket read takes, and the largest payload that leaves
@@ -190,7 +191,6 @@ class Channel:
 _SHUTDOWN_POLL_SECONDS = 0.05
 # How long the accept loop may spend answering a connection 503 busy.
 _BUSY_SEND_SECONDS = 1.0
-_worker_ids = itertools.count(1)
 
 
 def _send_refusal(channel: Channel, refusal: Refusal) -> None:
@@ -201,19 +201,18 @@ def _send_refusal(channel: Channel, refusal: Refusal) -> None:
 
 
 class Server(socketserver.TCPServer):
-    """A service's server: a pool of reusable worker threads.
+    """A service's server: sessions run on a pool of reusable threads.
 
-    The accept loop hands each connection to an idle worker, and starts
-    a worker only when none is idle and fewer than :attr:`max_workers`
-    exist; a connection beyond that is answered 503 ``busy`` and
-    closed. A worker serves one connection at a time, through
-    :meth:`finish_request` and :meth:`shutdown_request`, then waits for
-    the next. :meth:`server_close` ends the idle workers at once and a
-    busy one when its session ends.
+    The accept loop hands each connection to the pool while fewer than
+    :attr:`max_workers` sessions are open; a connection beyond that is
+    answered 503 ``busy`` and closed. :meth:`server_close` shuts every
+    open session's socket, so a session waiting on its peer ends at
+    once and one mid-transfer at its next read or write, and returns
+    once every worker has exited.
 
     The service provides ``io_timeout`` (seconds) and
-    ``handle_session(channel)``; the server closes the channel when the
-    session returns. A :class:`Refusal` that escapes the session is
+    ``handle_session(channel)``; the server closes the connection when
+    the session returns. A :class:`Refusal` that escapes the session is
     answered with its reply, and a transport error (broken framing, an
     idle timeout, a peer gone mid-message) with a best-effort 400
     ``protocol-error``.
@@ -226,11 +225,9 @@ class Server(socketserver.TCPServer):
         # finish_request below serves each connection; no handler class runs.
         super().__init__(address, socketserver.BaseRequestHandler)
         self.service = service
-        self._connections = queue.SimpleQueue()  # (request, address), or None: exit
+        self._pool = ThreadPoolExecutor(self.max_workers, thread_name_prefix="vo-worker-")
         self._lock = threading.Lock()
-        self._workers = 0  # started and not yet told to exit
-        self._idle = 0  # workers free for a connection not yet queued
-        self._closed = False
+        self._sessions: set | None = set()  # open connections; None once closed
 
     @property
     def address(self) -> tuple[str, int]:
@@ -240,55 +237,42 @@ class Server(socketserver.TCPServer):
         super().serve_forever(poll_interval)
 
     def process_request(self, request, client_address) -> None:
-        """Hand the connection to an idle worker, or answer it 503 ``busy``."""
+        """Hand the connection to the pool, or answer it 503 ``busy``."""
         with self._lock:
-            ready = not self._closed and (self._idle > 0 or self._start_worker())
-            if ready:
-                self._idle -= 1
-                self._connections.put((request, client_address))
-        if not ready:
+            accepted = self._sessions is not None and len(self._sessions) < self.max_workers
+            if accepted:
+                # Under the lock, so that server_close never meets a shut pool.
+                self._pool.submit(self._work, request, client_address)
+                self._sessions.add(request)
+        if not accepted:
             busy = Refusal(503, "busy", "every worker is busy; try again later")
             _send_refusal(Channel(request, timeout=_BUSY_SEND_SECONDS), busy)
             self.shutdown_request(request)
 
-    def _start_worker(self) -> bool:
-        """Start one more worker, idle, unless :attr:`max_workers` exist."""
-        if self._workers >= self.max_workers:
-            return False
-        name = "vo-worker-%d" % next(_worker_ids)
+    def _work(self, request, client_address) -> None:
         try:
-            threading.Thread(target=self._work, name=name, daemon=True).start()
-        except RuntimeError:  # the system has no thread to spare
-            return False
-        self._workers += 1
-        self._idle += 1
-        return True
-
-    def _work(self) -> None:
-        while True:
-            item = self._connections.get()
-            if item is None:
-                return
-            request, client_address = item
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                # The session is over: the worker counts as idle before
-                # its socket is shut, which only releases the socket.
-                with self._lock:
-                    self._idle += 1
-                self.shutdown_request(request)
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            # The socket leaves the set before it is closed, under the
+            # lock, so that server_close never shuts a closed socket.
+            with self._lock:
+                if self._sessions is not None:
+                    self._sessions.discard(request)
+            self.shutdown_request(request)
 
     def server_close(self) -> None:
-        """Stop listening, and tell every worker to exit once it is idle."""
+        """Stop listening, end every open session, and wait for the workers."""
         super().server_close()
         with self._lock:
-            self._closed = True
-            for _ in range(self._workers):
-                self._connections.put(None)
-            self._workers = 0
+            sessions, self._sessions = self._sessions or (), None
+            for request in sessions:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        self._pool.shutdown()
 
     def finish_request(self, request, client_address) -> None:
         request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -299,11 +283,14 @@ class Server(socketserver.TCPServer):
             if isinstance(exc, WireError):
                 exc = Refusal(400, "protocol-error", str(exc))
             _send_refusal(channel, exc)
-        finally:
-            channel.close()
 
     def run(self, banner: str) -> None:
-        """Print ``<banner> listening on host:port`` and serve until interrupted."""
+        """Print ``<banner> listening on host:port`` and serve until interrupted.
+
+        SIGTERM interrupts it as Ctrl-C does; either way the server is
+        closed. Call it from the main thread, which alone takes signals.
+        """
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
         host, port = self.address
         print("%s listening on %s:%d" % (banner, host, port))
         sys.stdout.flush()

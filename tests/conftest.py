@@ -70,10 +70,10 @@ def pytest_sessionfinish(session, exitstatus):
 
     A server that meets an exception no session step handles prints its
     traceback and carries on, so no test fails on its own. Every test
-    closes the servers it starts, and a closed server's workers exit
-    once their sessions end, so any worker still alive after a short
-    grace period belongs to a server that was never closed or is a
-    worker that never exited.
+    closes the servers it starts, and a server's workers have exited
+    when its ``server_close`` returns, so any worker still alive after
+    a short grace period belongs to a server that was never closed or
+    is a worker that never exited.
     """
     deadline = time.monotonic() + WORKER_EXIT_SECONDS
     while True:

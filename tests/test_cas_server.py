@@ -7,6 +7,7 @@ import socket
 import struct
 import sys
 import threading
+import time
 from datetime import timedelta
 
 import pytest
@@ -275,6 +276,20 @@ def test_admin_load_over_tcp(cas_server, identities, cas_service):
     assert cas_service.store.rights_of(TULL) == [
         RightsTuple("group", "member", "atlas/data")
     ]
+
+
+def test_server_close_ends_an_open_session(cas_server):
+    channel = wire.connect(cas_server.address, timeout=1.0)
+    try:
+        assert channel.recv_frame()["type"] == "challenge"
+        cas_server.shutdown()
+        started = time.monotonic()
+        cas_server.server_close()
+        with pytest.raises(wire.ConnectionClosedError):
+            channel.recv_frame()
+        assert time.monotonic() - started < 1.0
+    finally:
+        channel.close()
 
 
 @pytest.mark.parametrize("failure", ["missing-directory", "rename-blocked"])

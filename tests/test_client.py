@@ -655,3 +655,41 @@ def test_connection_refused_is_a_plain_error(world, capsys):
     capsys.readouterr()
     assert cli.main(["cas-init", "x", "--server", "127.0.0.1:1"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+class ReplyChannel:
+    """A channel whose peer answers every request with one fixed frame."""
+
+    def __init__(self, frame):
+        self.frame = frame
+
+    def send_frame(self, message):
+        pass
+
+    def recv_frame(self):
+        return self.frame
+
+
+REFUSAL = {"code": "rights-not-granted", "message": "requested rights not granted"}
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        dict(REFUSAL, status="403"),
+        dict(REFUSAL, status=True),
+        wire.reply(403, uncovered=5, **REFUSAL),
+        wire.reply(403, uncovered=[1], **REFUSAL),
+        wire.reply(200, entries=5),
+        wire.reply(200, entries=["run1.dat", 1]),
+    ],
+    ids=["string-status", "bool-status", "uncovered-not-a-list", "uncovered-entry-not-a-tuple",
+         "entries-not-a-list", "entry-not-a-string"],
+)
+def test_a_malformed_reply_is_a_protocol_error(frame):
+    frame.setdefault("type", "response")
+    session = ResourceSession.__new__(ResourceSession)
+    session._channel = ReplyChannel(frame)
+    with pytest.raises(ServiceError) as exc:
+        session.ls("/home/data")
+    assert (exc.value.status, exc.value.code) == (500, "protocol-error")

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
+import signal
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -18,6 +22,9 @@ from vo_authz.credentials import (
     assertion_to_doc,
     format_timestamp,
     generate_keypair,
+    identity_to_doc,
+    public_key_to_pem,
+    utc_now,
 )
 from vo_authz.engine import Decision
 from vo_authz.file_server import (
@@ -47,6 +54,7 @@ from .conftest import (
     SERVER_NAME,
     TULL,
     WELLS,
+    WORKER_PREFIX,
     IdentityFactory,
     ResourceEnv,
     get_bytes,
@@ -373,22 +381,13 @@ def test_service_requires_export_directory(tmp_path, trust_root, clock):
     assert not (tmp_path / "a.log").exists()
 
 
-def test_service_from_config_round_trip(tmp_path, trust_root, identities, clock):
-    import json
-
-    from vo_authz.credentials import identity_to_doc, private_key_to_pem, public_key_to_pem
-    from vo_authz.file_server import load_file_config, service_from_config
-
-    cas_cred, cas_key = identities.identity(CAS_DN)
-    other_cred, _ = identities.identity(OTHER_CAS_DN)
+def write_file_service_config(tmp_path, trust_root_public, issuers: dict) -> str:
+    """A file service config on a free local port, trusting the issuer
+    documents ``issuers`` (file name: document); returns its path."""
     (tmp_path / "export/home/data").mkdir(parents=True)
-    (tmp_path / "trust_root.pem").write_text(public_key_to_pem(trust_root[1]))
-    # One issuer file is a full keypair file, the other is public-only;
-    # both shapes must load.
-    keypair_doc = identity_to_doc(cas_cred)
-    keypair_doc["private_key_pem"] = private_key_to_pem(cas_key)
-    (tmp_path / "cas.json").write_text(json.dumps(keypair_doc))
-    (tmp_path / "other-cas.json").write_text(json.dumps(identity_to_doc(other_cred)))
+    (tmp_path / "trust_root.pem").write_text(public_key_to_pem(trust_root_public))
+    for name, doc in issuers.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     (tmp_path / "roles.map").write_text("atlas/data data\n")
     (tmp_path / "grid.map").write_text('"%s" data\n' % CAS_DN)
     (tmp_path / "accounts.map").write_text("data /home/data rw\n")
@@ -396,7 +395,7 @@ def test_service_from_config_round_trip(tmp_path, trust_root, identities, clock)
         "listen = 127.0.0.1:0\n"
         "server_name = %s\n" % SERVER_NAME
         + "trust_root_file = trust_root.pem\n"
-        + 'issuer_files = "cas.json","other-cas.json"\n'
+        + "issuer_files = %s\n" % ",".join('"%s"' % name for name in issuers)
         + "role_map_file = roles.map\n"
         + "grid_map_file = grid.map\n"
         + "account_file = accounts.map\n"
@@ -404,7 +403,21 @@ def test_service_from_config_round_trip(tmp_path, trust_root, identities, clock)
         + "audit_file = audit.log\n"
         + "public_root = /public\n"
     )
-    config = load_file_config(str(tmp_path / "files.conf"))
+    return str(tmp_path / "files.conf")
+
+
+def test_service_from_config_round_trip(tmp_path, trust_root, identities, clock):
+    from vo_authz.credentials import private_key_to_pem
+    from vo_authz.file_server import load_file_config, service_from_config
+
+    cas_cred, cas_key = identities.identity(CAS_DN)
+    other_cred, _ = identities.identity(OTHER_CAS_DN)
+    # One issuer file is a full keypair file, the other is public-only;
+    # both shapes must load.
+    keypair_doc = identity_to_doc(cas_cred)
+    keypair_doc["private_key_pem"] = private_key_to_pem(cas_key)
+    issuers = {"cas.json": keypair_doc, "other-cas.json": identity_to_doc(other_cred)}
+    config = load_file_config(write_file_service_config(tmp_path, trust_root[1], issuers))
     assert config.server_name == SERVER_NAME
     assert os.path.isabs(config.export_root)
 
@@ -1387,3 +1400,79 @@ def test_dropped_upload_leaves_no_file(resource_env, identities, cas_identity, n
     while upload_names(resource_env):
         assert time.monotonic() < deadline, upload_names(resource_env)
         time.sleep(0.01)
+
+
+# -- stopping the server -----------------------------------------------------------
+
+
+def worker_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name.startswith(WORKER_PREFIX)}
+
+
+def test_server_close_ends_an_idle_session(resource_env, identities, cas_identity, now):
+    channel = open_channel(resource_env, identities, ORWELL, data_assertion(cas_identity, now))
+    try:
+        channel._sock.settimeout(1.0)
+        resource_env.server.shutdown()
+        started = time.monotonic()
+        resource_env.server.server_close()
+        with pytest.raises(wire.ConnectionClosedError):
+            channel.recv_frame()
+        assert time.monotonic() - started < 1.0
+    finally:
+        channel.close()
+
+
+def test_server_close_mid_put_discards_the_upload_and_ends_every_worker(
+    resource_env, identities, cas_identity, now
+):
+    before = worker_threads()
+    assertion = data_assertion(cas_identity, now)
+    writer = start_put(resource_env, identities, assertion, "/home/data/cut.dat", b"x" * 5000, 2500)
+    try:
+        resource_env.server.shutdown()
+        resource_env.server.server_close()
+        assert upload_names(resource_env) == []
+        assert worker_threads() - before == set()
+    finally:
+        writer.close()
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_a_stopped_server_process_discards_the_put_in_flight(tmp_path, trust_root, signum):
+    # The process runs on real time, so the credentials are made for now.
+    identities = IdentityFactory(trust_root[0], utc_now())
+    cas_cred, cas_key = identities.identity(CAS_DN)
+    config = write_file_service_config(tmp_path, trust_root[1], {"cas.json": identity_to_doc(cas_cred)})
+    data_dir = tmp_path / "export/home/data"
+    # Development mode makes an unclosed file a warning on stderr.
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDEVMODE="1")
+    command = [sys.executable, "-m", "vo_authz.file_server", "--config", config]
+    with subprocess.Popen(
+        command, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as server:
+        try:
+            banner = server.stdout.readline()
+            assert " listening on " in banner, server.stderr.read()
+            port = int(banner.rstrip().rpartition(":")[2])
+            assertion = make_assertion(cas_cred, cas_key, ORWELL, (DATA_ROLE,), utc_now())
+            with ResourceSession(("127.0.0.1", port), identities.bundle(ORWELL), assertion) as session:
+                session._channel.send_frame(
+                    {"type": "command", "op": "PUT", "path": "/home/data/cut.dat", "size": 5000}
+                )
+                session._channel.send_bytes(b"x" * 2500)
+                deadline = time.monotonic() + 5
+                while not os.listdir(data_dir):
+                    assert time.monotonic() < deadline, "the upload never created a file"
+                    time.sleep(0.01)
+                server.send_signal(signum)
+                assert server.wait(timeout=2) == 0
+            assert os.listdir(data_dir) == []
+            assert server.stderr.read() == ""
+        finally:
+            if server.poll() is None:
+                server.kill()
