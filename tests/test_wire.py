@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import io
+import os
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -25,7 +28,7 @@ from vo_authz.wire import (
     parse_address,
 )
 
-from .conftest import TULL, WORKER_PREFIX
+from .conftest import SERVER_TRACEBACKS, TULL, WORKER_PREFIX
 
 
 @pytest.fixture
@@ -311,7 +314,7 @@ def test_server_answers_a_refusal_that_ends_the_session():
     assert not thread.is_alive()
 
 
-def serve_one_session(handle_session):
+def serve_one_session(handle_session, io_timeout=5.0):
     """Serve ``handle_session`` on a local port: ``(server, errors, finished, thread)``.
 
     ``errors`` records every ``handle_error`` call; ``finished`` is set
@@ -319,9 +322,10 @@ def serve_one_session(handle_session):
     """
 
     class Service:
-        io_timeout = 5.0
+        pass
 
     service = Service()
+    service.io_timeout = io_timeout
     service.handle_session = handle_session
     server = Server(("127.0.0.1", 0), service)
     errors, finished = [], threading.Event()
@@ -400,7 +404,34 @@ def test_reset_mid_send_is_a_transport_error():
     assert len(seen) == 1 and isinstance(seen[0], ConnectionClosedError)
 
 
-# -- the worker pool ------------------------------------------------------------
+def test_send_timeout_ends_the_session():
+    # The client never reads, so once the socket buffers fill each
+    # write waits out the kernel's send timeout.
+    seen = []
+
+    def stream(channel):
+        block = b"x" * 1_048_576
+        try:
+            for _ in range(256):
+                channel.send_bytes(block)
+        except Exception as exc:
+            seen.append(exc)
+            raise
+
+    server, errors, finished, thread = serve_one_session(stream, io_timeout=0.5)
+    try:
+        client = connect(server.address, timeout=5.0)
+        try:
+            assert finished.wait(timeout=3)
+        finally:
+            client.close()
+    finally:
+        stop(server, thread)
+    assert errors == []
+    assert len(seen) == 1 and isinstance(seen[0], ChannelTimeout)
+
+
+# -- the workers ------------------------------------------------------------
 
 
 class Echo:
@@ -501,6 +532,35 @@ def test_sequential_connections_reuse_workers(monkeypatch):
         stop(server, thread)
 
 
+def test_the_worker_that_went_idle_last_takes_the_next_connection():
+    served = []
+
+    class Recorder(Echo):
+        def handle_session(self, channel):
+            served.append(threading.current_thread().name)
+            super().handle_session(channel)
+
+    server, thread, ended = serve(Recorder())
+    try:
+        # Two sessions at once leave three workers: two that served, one spare.
+        held = [connect(server.address, timeout=5.0) for _ in range(2)]
+        for client in held:
+            client.send_frame({"type": "hello"})
+        for client in held:
+            assert client.recv_frame() == {"type": "done"}
+            client.close()
+        assert ended.acquire(timeout=5) and ended.acquire(timeout=5)
+        del served[:]
+        for _ in range(10):
+            round_trip(server.address)
+            assert ended.acquire(timeout=5)
+            time.sleep(0.02)  # for the worker to wait again
+    finally:
+        stop(server, thread)
+    # Woken in turn, the three workers would serve three or four each.
+    assert len(served) == 10 and Counter(served).most_common(1)[0][1] >= 8
+
+
 def test_server_close_ends_the_workers():
     baseline = threading.active_count()
     server, thread, ended = serve(Echo())
@@ -517,3 +577,150 @@ def test_server_close_ends_the_workers():
     while threading.active_count() > baseline and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() <= baseline
+
+
+def test_a_failed_worker_start_costs_no_connection(monkeypatch, pytestconfig):
+    # Only the first worker starts: the system has no thread to spare.
+    start = threading.Thread.start
+    workers = []
+
+    def start_one_worker(thread):
+        if thread.name.startswith(WORKER_PREFIX):
+            if workers:
+                raise RuntimeError("can't start new thread")
+            workers.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_one_worker)
+    tracebacks = len(pytestconfig.stash[SERVER_TRACEBACKS])
+    service = Echo()
+    server, thread, ended = serve(service)
+    try:
+        first = connect(server.address, timeout=5.0)
+        second = connect(server.address, timeout=5.0)
+        try:
+            second.send_frame({"type": "hello"})
+            first.send_frame({"type": "hello"})
+            assert first.recv_frame() == {"type": "done"}
+            first.close()
+            # The one worker serves the second connection once the first ends.
+            assert second.recv_frame() == {"type": "done"}
+        finally:
+            first.close()
+            second.close()
+        assert ended.acquire(timeout=5) and ended.acquire(timeout=5)
+    finally:
+        stop(server, thread)
+    assert len(workers) == 1 and service.workers == {workers[0].name}
+    assert len(pytestconfig.stash[SERVER_TRACEBACKS]) == tracebacks
+
+
+def test_sessions_past_the_per_peer_cap_are_refused_busy(monkeypatch):
+    monkeypatch.setattr(Server, "max_sessions_per_peer", 1)
+    server, thread, ended = serve(Echo())
+    try:
+        held = connect(server.address, timeout=5.0)
+        try:
+            extra = connect(server.address, timeout=5.0)
+            try:
+                assert extra.recv_frame() == {
+                    "type": "response", "status": 503, "code": "busy",
+                    "message": "every worker is busy; try again later",
+                }
+            finally:
+                extra.close()
+            assert ended.acquire(timeout=5)
+            # Another peer address is still served.
+            sock = socket.create_connection(
+                server.address, timeout=5.0, source_address=("127.0.0.2", 0)
+            )
+            other = Channel(sock, timeout=5.0)
+            try:
+                other.send_frame({"type": "hello"})
+                assert other.recv_frame() == {"type": "done"}
+            finally:
+                other.close()
+            assert ended.acquire(timeout=5)
+            held.send_frame({"type": "hello"})
+            assert held.recv_frame() == {"type": "done"}
+        finally:
+            held.close()
+        assert ended.acquire(timeout=5)
+        # The peer's count fell with its session.
+        round_trip(server.address)
+    finally:
+        stop(server, thread)
+
+
+class Greeter:
+    """Answers ``done`` at once, then holds the session until the peer closes."""
+
+    io_timeout = 5.0
+
+    def handle_session(self, channel):
+        channel.send_frame({"type": "done"})
+        channel.recv_frame()
+
+
+def test_a_burst_of_connections_stays_within_the_thread_bound(monkeypatch):
+    monkeypatch.setattr(Server, "max_workers", 2)
+    before = worker_names()
+    server, thread, ended = serve(Greeter())
+    answers = []
+    # Every client keeps its connection open until all have their answer.
+    answered = threading.Barrier(20, timeout=10)
+
+    def client():
+        channel = connect(server.address, timeout=5.0)
+        try:
+            answers.append(channel.recv_frame())
+            answered.wait()
+        finally:
+            channel.close()
+
+    clients = [threading.Thread(target=client) for _ in range(20)]
+    try:
+        for each in clients:
+            each.start()
+        for each in clients:
+            each.join(timeout=10)
+        assert not any(each.is_alive() for each in clients)
+        assert len(worker_names() - before) <= 3
+    finally:
+        stop(server, thread)
+    busy = {
+        "type": "response", "status": 503, "code": "busy",
+        "message": "every worker is busy; try again later",
+    }
+    assert sorted(answer["type"] for answer in answers) == ["done"] * 2 + ["response"] * 18
+    assert all(answer in ({"type": "done"}, busy) for answer in answers)
+    assert worker_names() - before == set()
+
+
+def test_a_failed_bind_raises_its_os_error():
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        with pytest.raises(OSError):
+            Server(taken.getsockname(), Echo())
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_importing_the_services_loads_no_thread_pool_or_logging():
+    # Each module costs every server process its import time at start.
+    code = (
+        "import sys, vo_authz.cas_server, vo_authz.file_server; "
+        "print(*[m for m in ('logging', 'concurrent.futures') if m in sys.modules])"
+    )
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
