@@ -34,6 +34,7 @@ from .credentials import (
     authenticate_peer,
     fresh_serial,
     public_key_from_pem,
+    send_challenge,
     sign_assertion,
     utc_now,
 )
@@ -117,10 +118,21 @@ class CasService:
     def store(self) -> PolicyStore:
         return self._store
 
-    def handle_session(self, channel: wire.Channel) -> None:
-        """Authenticate the peer, then answer its one request."""
-        subject = authenticate_peer(channel, self.trust_root, self.clock()).identity.subject
-        channel.send_frame(self.handle_request(subject, channel.recv_frame()))
+    def handle_session(self, channel: wire.ServerChannel):
+        """Authenticate the peer, then answer its one request: a :class:`wire.Server` session.
+
+        A policy load runs off the server's loop: its snapshot write and
+        fsync would stall every other session.
+        """
+        nonce = send_challenge(channel)
+        yield from channel.wait_frame()
+        subject = authenticate_peer(channel, self.trust_root, self.clock(), nonce).identity.subject
+        frame = yield from channel.next_frame()
+        if frame["type"] == "admin_load":
+            reply = yield lambda: self.handle_request(subject, frame)
+        else:
+            reply = self.handle_request(subject, frame)
+        channel.send_frame(reply)
 
     def handle_request(self, subject: str, frame: dict) -> dict:
         """Answer one request: its success reply, or its refusal's reply."""

@@ -558,10 +558,19 @@ def session_from_doc(doc) -> SessionCredential:
 # identity to services, and a service learns the peer's subject DN.
 
 
-def authenticate_peer(channel, trust_root: bytes, now: datetime) -> SessionCredential:
-    """Run the verifier side of the handshake; return the peer's verified session."""
+def send_challenge(channel) -> bytes:
+    """Start the verifier side of the handshake: send a fresh nonce, and return it."""
     nonce = secrets.token_bytes(32)
     channel.send_frame({"type": "challenge", "nonce": _b64(nonce)})
+    return nonce
+
+
+def authenticate_peer(channel, trust_root: bytes, now: datetime, nonce: bytes) -> SessionCredential:
+    """Check the auth frame that answers ``nonce``; return the peer's verified session.
+
+    A server's channel has the frame buffered already; a read that
+    failed because the peer sent nothing in time is refused ``timeout``.
+    """
     try:
         frame = channel.recv_frame()
     except wire.ChannelTimeout as exc:

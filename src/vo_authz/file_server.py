@@ -58,6 +58,7 @@ from .credentials import (
     format_timestamp,
     identity_from_doc,
     public_key_from_pem,
+    send_challenge,
     utc_now,
     verify_assertion,
 )
@@ -368,8 +369,12 @@ class ResourceService:
 
     # -- session driving -------------------------------------------------------
 
-    def handle_session(self, channel: wire.Channel) -> None:
-        _Session(self, authenticate_peer(channel, self.trust_root, self.clock())).run(channel)
+    def handle_session(self, channel: wire.ServerChannel):
+        """The session on ``channel``: a generator that :class:`wire.Server` drives."""
+        nonce = send_challenge(channel)
+        yield from channel.wait_frame()
+        session = authenticate_peer(channel, self.trust_root, self.clock(), nonce)
+        yield from _Session(self, session).run(channel)
 
 
 class _Session:
@@ -384,30 +389,30 @@ class _Session:
         self.account: Optional[str] = None  # set once mapped, with ``via``
         self.via: Optional[str] = None
 
-    def run(self, channel: wire.Channel) -> None:
-        frame = channel.recv_frame()
+    def run(self, channel: wire.ServerChannel):
+        frame = yield from channel.next_frame()
         if frame["type"] == "present_assertion":
-            if not self._serve(channel, "MAP", _NO_VALUE, self._present_assertion, frame):
+            try:
+                self._present_assertion(channel, frame)
+            except Refusal as refusal:
+                self._refuse(channel, "MAP", _NO_VALUE, refusal)
                 return
-            frame = channel.recv_frame()
-        while self._command(channel, frame):
-            frame = channel.recv_frame()
+            frame = yield from channel.next_frame()
+        while (yield from self._command(channel, frame)):
+            frame = yield from channel.next_frame()
 
-    def _serve(self, channel: wire.Channel, op: str, path, handler, frame: dict) -> bool:
-        """Run ``handler(channel, frame)``; returns whether the session goes on.
+    def _refuse(self, channel: wire.ServerChannel, op: str, path, refusal: Refusal) -> bool:
+        """Audit and answer a refusal; returns whether the session goes on.
 
-        This is the one place a :class:`Refusal` is audited and answered.
-        A refused mapping, an expired session (401) and a failed write
-        (500) end the session. A failed audit write raises a plain
-        :class:`wire.Refusal`, which is not caught here: it ends the
-        session unaudited, and :class:`wire.Server` answers it.
+        Every :class:`Refusal` comes here. A refused mapping, an expired
+        session (401) and a failed write (500) end the session. A failed
+        audit write raises a plain :class:`wire.Refusal`, which is not
+        caught as a :class:`Refusal`: it ends the session unaudited, and
+        :class:`wire.Server` answers it.
         """
-        try:
-            return handler(channel, frame)
-        except Refusal as refusal:
-            self._audit(op, refusal.path or str(path), refusal.code)
-            channel.send_frame(refusal.reply())
-            return op != "MAP" and refusal.status not in (401, 500)
+        self._audit(op, refusal.path or str(path), refusal.code)
+        channel.send_frame(refusal.reply())
+        return op != "MAP" and refusal.status not in (401, 500)
 
     def _audit(self, op: str, path: str, reason: str) -> None:
         self.service.audit_log.write(
@@ -424,7 +429,7 @@ class _Session:
 
     # -- account mapping -----------------------------------------------------------
 
-    def _present_assertion(self, channel: wire.Channel, frame: dict) -> bool:
+    def _present_assertion(self, channel: wire.ServerChannel, frame: dict) -> None:
         service = self.service
         try:
             assertion = assertion_from_doc(frame.get("assertion"))
@@ -445,19 +450,11 @@ class _Session:
         self.rights = body.rights
         self.deadline = min(self.deadline, body.not_after)
         channel.send_frame(wire.reply(200, account=self.account, via=self.via))
-        return True
-
-    def _map_personal(self, channel: wire.Channel, frame: dict) -> bool:
-        """Sessions without an assertion map on first use, personally."""
-        service = self.service
-        self.account, self.via = map_to_account(
-            self.subject, self.subject, (), service.role_map, service.grid_map
-        )
-        return True
 
     # -- commands ----------------------------------------------------------------
 
-    def _command(self, channel: wire.Channel, frame: dict) -> bool:
+    def _command(self, channel: wire.ServerChannel, frame: dict):
+        """Serve one command; returns whether the session goes on."""
         kind = frame["type"]
         op = frame.get("op")
         if kind != "command" or op not in ("LIST", "GET", "PUT", "QUIT"):
@@ -471,12 +468,21 @@ class _Session:
         if op == "QUIT":
             channel.send_frame(wire.reply(200, message="bye"))
             return False
-        if self.account is None and not self._serve(
-            channel, "MAP", _NO_VALUE, self._map_personal, frame
-        ):
-            return False
-        handler = {"LIST": self._list, "GET": self._get, "PUT": self._put}[op]
-        return self._serve(channel, op, frame.get("path"), handler, frame)
+        if self.account is None:  # a session without an assertion maps on first use
+            service = self.service
+            try:
+                self.account, self.via = map_to_account(
+                    self.subject, self.subject, (), service.role_map, service.grid_map
+                )
+            except Refusal as refusal:
+                return self._refuse(channel, "MAP", _NO_VALUE, refusal)
+        try:
+            if op == "LIST":
+                return self._list(channel, frame)
+            handler = self._get if op == "GET" else self._put
+            return (yield from handler(channel, frame))
+        except Refusal as refusal:
+            return self._refuse(channel, op, frame.get("path"), refusal)
 
     def _authorize(self, op: str, raw_path) -> tuple[str, int, str]:
         """Canonicalize, authorize and resolve a client path: ``(path, parent_fd, leaf)``.
@@ -526,7 +532,7 @@ class _Session:
         finally:
             os.close(parent)
 
-    def _list(self, channel: wire.Channel, frame: dict) -> bool:
+    def _list(self, channel: wire.ServerChannel, frame: dict) -> bool:
         path, fd = self._open("LIST", frame.get("path"), _DIR_FLAGS)
         try:
             names = os.listdir(fd)
@@ -537,7 +543,7 @@ class _Session:
         channel.send_frame(wire.reply(200, entries=entries))
         return True
 
-    def _get(self, channel: wire.Channel, frame: dict) -> bool:
+    def _get(self, channel: wire.ServerChannel, frame: dict):
         path, fd = self._open("GET", frame.get("path"), _FILE_FLAGS)
         try:
             size = _regular_file_size(fd)
@@ -554,6 +560,8 @@ class _Session:
             channel.send_frames(wire.reply(200, size=size), payload=first)
             remaining = size - len(first)
             while remaining:
+                # The next chunk is read once the socket has taken the last.
+                yield from channel.flush()
                 chunk = os.read(fd, min(remaining, wire.CHUNK_BYTES))
                 if not chunk:
                     return False
@@ -563,7 +571,7 @@ class _Session:
             os.close(fd)
         return True
 
-    def _put(self, channel: wire.Channel, frame: dict) -> bool:
+    def _put(self, channel: wire.ServerChannel, frame: dict):
         size = frame.get("size")
         if not wire.is_size(size):
             raise wire.ProtocolError("PUT needs a non-negative integer size")
@@ -583,7 +591,7 @@ class _Session:
                 os.close(parent)
             # The payload bytes follow the command frame unconditionally, so
             # a refusal must still drain them to keep the stream aligned.
-            channel.recv_bytes_to(size, lambda data: None)
+            yield from channel.recv_payload(size, lambda data: None)
             raise
 
         def write(data: bytes) -> None:
@@ -592,7 +600,7 @@ class _Session:
                 view = view[os.write(fd, view):]
 
         try:
-            channel.recv_bytes_to(size, write)
+            yield from channel.recv_payload(size, write)
             # The name appears only once the whole upload is in place, and
             # a link, unlike a rename, never replaces an existing name.
             os.link(temporary, leaf, src_dir_fd=parent, dst_dir_fd=parent)
@@ -775,7 +783,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     server.run("file service %s" % service.server_name)
-    service.audit_log.close()  # no worker is left to write to it
+    service.audit_log.close()  # no session is left to write to it
     return 0
 
 

@@ -10,36 +10,32 @@ Every answer from a service is one :func:`reply` frame of type
 ``response``; a refusal is raised as a :class:`Refusal` and carries its
 reply (``code``, ``message`` and any extra fields).
 
-Both services run on :class:`Server`, whose idle worker threads wait
-for the listening socket in the kernel, which wakes one of them for
-each connection; that worker accepts it and keeps it until it is
-closed. The worker gives the framed channel to the service's
-``handle_session``, answers a refusal or a transport error that ends
-the session, closes, and goes back to waiting. Past
-:attr:`Server.max_workers` open sessions, or past
-:attr:`Server.max_sessions_per_peer` from one peer address, a
-connection is answered 503 ``busy`` and closed. Closing the server ends
-every open session at once. TCP sockets on both ends set
-``TCP_NODELAY``: a reply written as a frame plus payload in separate
-small writes would otherwise wait on the peer's delayed ACK.
+Both services run on :class:`Server`: one stdlib ``selectors`` loop per
+server owns the listening socket and every connection, and resumes each
+session, a generator, once what it waits for holds; so no thread waits
+on a peer. TCP sockets on both ends set ``TCP_NODELAY``: a reply
+written as a frame plus payload in separate small writes would
+otherwise wait on the peer's delayed ACK.
 
-A :class:`Channel` keeps its socket blocking and has the kernel enforce
-its timeout (``SO_RCVTIMEO`` and ``SO_SNDTIMEO``), so every read or
-write is one system call. It reads in chunks of up to 64 KiB into its
-own buffer, so one read usually yields a whole frame, and a frame with
-the payload written after it.
+A client's :class:`Channel` keeps its socket blocking and has the kernel
+enforce its timeout (``SO_RCVTIMEO`` and ``SO_SNDTIMEO``), so every read
+or write is one system call. Both ends read in chunks of up to 64 KiB
+into the channel's own buffer, so one read usually yields a whole
+frame, and a frame with the payload written after it.
 """
 
 from __future__ import annotations
 
 import json
-import select
+import queue
+import selectors
 import signal
 import socket
-import socketserver
 import struct
 import sys
 import threading
+import time
+from collections import deque
 
 MAX_FRAME_BYTES = 1_048_576
 # The most one socket read takes, and the largest payload that leaves
@@ -99,12 +95,14 @@ def is_size(value) -> bool:
 
 
 class Channel:
-    """A framed duplex channel over a connected socket.
+    """A framed duplex channel over a connected socket: a client's.
 
     With a ``timeout`` (seconds) the socket is made blocking and the
     kernel bounds each read or write system call on it: one that moves
     no data in that time raises :class:`ChannelTimeout`, while a long
-    send that keeps moving data is not cut short.
+    send that keeps moving data is not cut short. A server's connection
+    is a :class:`ServerChannel`, which keeps these methods and replaces
+    only the socket primitives (``_send``, ``_recv_some``).
     """
 
     def __init__(self, sock: socket.socket, timeout: float | None = None):
@@ -204,190 +202,421 @@ class Channel:
         return data
 
 
-# How long a worker may spend answering a connection 503 busy.
-_BUSY_SEND_SECONDS = 1.0
-# The listening socket wakes one idle worker, then waits to be re-armed.
-_ONE_WAKE = select.EPOLLIN | select.EPOLLONESHOT
+# What a session yields, besides a byte count, to wait for its sends to drain.
+_DRAIN = 0
+_BUSY = Refusal(503, "busy", "too many open sessions; try again later")
+_NEVER = float("inf")
 
 
-def _send_refusal(channel: Channel, refusal: Refusal) -> None:
-    try:
-        channel.send_frame(refusal.reply())
-    except WireError:
-        pass  # the peer has already gone
+class ServerChannel(Channel):
+    """A server connection's channel, whose I/O the :class:`Server` loop does.
 
+    The socket is non-blocking. A send the socket does not take at once
+    is kept, and the loop sends it as the socket drains. The loop reads
+    only while the session waits for input, one chunk a read, so at most
+    one frame (or the payload bytes asked for) and one chunk are
+    buffered. A wait that ends without what it waited for records why
+    (the peer closed or reset the connection, or it sent nothing within
+    ``io_timeout``), and the next read or send raises that.
 
-class Server(socketserver.TCPServer):
-    """A service's server: each connection is served by the thread that accepts it.
-
-    Idle workers wait on one epoll set that watches the listening
-    socket (Linux). For each connection the kernel wakes one of them,
-    the one that went idle last, and that worker accepts the connection
-    and serves it on the same thread. So the threads that have just
-    served keep serving. Threads blocked in ``accept`` itself would be
-    woken in turn, the one idle longest first; under the issuance
-    benchmark on two cores that rotation kept the tail latency where
-    the thread pool had it.
-
-    A worker takes the connection it accepts while fewer than
-    :attr:`max_workers` sessions are open, and fewer than
-    :attr:`max_sessions_per_peer` from the same peer address; it answers
-    any other connection 503 ``busy`` and closes it. A worker that takes
-    a connection while no other worker is idle starts one more, up to
-    ``max_workers + 1`` in all, so one is always waiting to accept.
-    Workers live until the server stops.
-
-    :meth:`shutdown` stops the accepting. :meth:`server_close` also
-    shuts every open session's socket, so a session waiting on its peer
-    ends at once and one mid-transfer at its next read or write, and
-    returns once every worker has exited.
-
-    The service provides ``io_timeout`` (seconds) and
-    ``handle_session(channel)``; the server closes the connection when
-    the session returns. A :class:`Refusal` that escapes the session is
-    answered with its reply, and a transport error (broken framing, an
-    idle timeout, a peer gone mid-message) with a best-effort 400
-    ``protocol-error``.
+    A session waits by yielding from :meth:`next_frame`,
+    :meth:`wait_frame`, :meth:`recv_payload` or :meth:`flush`.
     """
 
-    allow_reuse_address = True
-    # socketserver listens with a backlog of 5. A burst that overflows it
-    # has the kernel drop handshakes, and those clients wait a second or
-    # more for the retry.
-    request_queue_size = socket.SOMAXCONN
-    max_workers = 64
+    def __init__(self, sock: socket.socket, host: str):
+        super().__init__(sock)
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.host = host
+        self.steps = None  # the session generator the loop resumes
+        self.need = None  # bytes a read waits for, _DRAIN for sends; None when not waiting
+        self.deadline = 0.0  # when the wait times out, unless the peer makes progress
+        self.events = 0  # the selector events the socket is registered for
+        self.outcome = (None, None)  # (result, error) to resume the session with
+        self._pending = bytearray()  # sent, but not yet taken by the socket
+        self._recv_failed: WireError | None = None
+        self._send_failed: WireError | None = None
+
+    def wait_frame(self):
+        """Wait until a whole frame is buffered, for :meth:`recv_frame` to read.
+
+        Pending sends drain first. Every frame waits at least one turn,
+        so a peer whose frames are already buffered gets one a turn.
+        """
+        yield from self.flush()
+        yield self._frame_bytes()
+        while self._recv_failed is None and len(self._buffer) < self._frame_bytes():
+            yield self._frame_bytes()
+
+    def next_frame(self):
+        """Wait for the next frame and read it: ``frame = yield from channel.next_frame()``."""
+        yield from self.wait_frame()
+        return self.recv_frame()
+
+    def recv_payload(self, size: int, write):
+        """Stream exactly ``size`` payload bytes into ``write`` as they arrive."""
+        while size:
+            if not self._buffer:
+                yield 1
+                if not self._buffer:
+                    raise self._recv_failed
+            part = min(size, len(self._buffer))
+            self.recv_bytes_to(part, write)
+            size -= part
+
+    def flush(self):
+        """Wait until the socket has taken every send."""
+        if self._pending:
+            yield _DRAIN
+            if self._send_failed is not None:
+                raise self._send_failed
+
+    def _frame_bytes(self) -> int:
+        """How many buffered bytes the next frame needs (4 until its header is in).
+
+        A header that declares too large a frame needs nothing more:
+        :meth:`recv_frame` refuses it.
+        """
+        if len(self._buffer) < 4:
+            return 4
+        (length,) = struct.unpack_from(">I", self._buffer)
+        return 4 + length if length <= MAX_FRAME_BYTES else 4
+
+    # The socket primitives. A read here follows a wait that ended
+    # without its bytes, so it raises why; a send never blocks.
+
+    def _send(self, data: bytes) -> None:
+        if self._send_failed is not None:
+            raise self._send_failed
+        if not self._pending:
+            try:
+                sent = self._sock.send(data)
+            except BlockingIOError:
+                sent = 0
+            except OSError as exc:
+                self._send_failed = ConnectionClosedError("connection lost: %s" % exc)
+                raise self._send_failed from exc
+            if sent == len(data):
+                return
+            data = memoryview(data)[sent:]
+        self._pending += data
+
+    def _recv_some(self, limit: int) -> bytes:
+        raise self._recv_failed
+
+    # The loop's side: one read for a session waiting for input, one send
+    # of pending bytes for a session waiting for them to drain. Each
+    # returns whether the peer made progress, or failed.
+
+    def _read(self) -> bool:
+        try:
+            chunk = self._sock.recv(CHUNK_BYTES)
+        except BlockingIOError:
+            return False
+        except OSError as exc:
+            self._recv_failed = ConnectionClosedError("connection lost: %s" % exc)
+            return True
+        if not chunk:
+            self._recv_failed = ConnectionClosedError("peer closed the connection")
+        self._buffer += chunk
+        return True
+
+    def _push(self) -> bool:
+        try:
+            sent = self._sock.send(self._pending)
+        except BlockingIOError:
+            return False
+        except OSError as exc:
+            self._send_failed = ConnectionClosedError("connection lost: %s" % exc)
+            return True
+        del self._pending[:sent]
+        return True
+
+
+class Server:
+    """A service's server: one ``selectors`` loop serves every connection.
+
+    :meth:`serve_forever` runs the loop on the calling thread until
+    :meth:`shutdown`. The loop accepts each connection and runs the
+    service's session on it: ``service.handle_session(channel)`` returns
+    a generator that yields what it waits for (see
+    :class:`ServerChannel`), or a function to run off the loop, whose
+    result the yield returns. The loop resumes a session once what it
+    waits for holds, so no thread waits on a peer. One resumption, a
+    turn, handles at most one frame: after each turn the loop polls,
+    without waiting, for new connections and other sessions' input, and
+    only then gives a session a frame that was already buffered. Work
+    yielded as a function runs on one helper thread, started on first
+    use.
+
+    ``io_timeout`` (seconds, from the service) is how long a session may
+    wait on its peer without progress. A :class:`Refusal` that escapes
+    the session is answered with its reply, and a transport error
+    (broken framing, an idle timeout, a peer gone mid-message) with a
+    best-effort 400 ``protocol-error``; the server closes the
+    connection once the session ends and its sends have drained.
+
+    Past :attr:`max_sessions` open sessions, or past
+    :attr:`max_sessions_per_peer` from one peer address, a connection is
+    answered 503 ``busy`` and closed. :meth:`server_close` ends every
+    open session at once: each session generator is closed, so its
+    ``finally`` blocks run (a PUT in flight is discarded), and its
+    connection is closed with no reply.
+    """
+
+    max_sessions = 64
     max_sessions_per_peer = 16
 
     def __init__(self, address: tuple[str, int], service):
-        # Set before binding: a failed bind calls server_close.
         self.service = service
-        self._lock = threading.Lock()
-        self._sessions: set | None = set()  # open connections; None once closed
-        self._peers: dict[str, int] = {}  # open sessions per peer address
-        self._workers: list[threading.Thread] = []
-        self._idle = 0  # workers waiting to accept or on their way back to it
-        self._stopped = threading.Event()
-        self._waiting = select.epoll()  # where idle workers wait, the last to arrive woken first
-        # finish_request below serves each connection; no handler class runs.
-        super().__init__(address, socketserver.BaseRequestHandler)
-        # A worker woken when no connection is left (one that failed
-        # before it was accepted) must not block in accept.
+        self.socket = socket.create_server(address, backlog=socket.SOMAXCONN)
         self.socket.setblocking(False)
-        self._waiting.register(self.socket, _ONE_WAKE)
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
+        self.address: tuple[str, int] = self.socket.getsockname()[:2]
+        self._wake, self._waker = socket.socketpair()  # the helper and shutdown wake the loop
+        self._wake.setblocking(False)
+        self._waker.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        self._selector.register(self._wake, selectors.EVENT_READ)
+        self._sessions: dict[ServerChannel, None] = {}  # open, in the order they came
+        self._peers: dict[str, int] = {}  # open sessions per peer address
+        self._ready: deque[ServerChannel] = deque()  # sessions to resume, in turn
+        self._later: list[ServerChannel] = []  # resumed only after the next poll
+        self._waiting: dict[ServerChannel, None] = {}  # sessions waiting on their peer
+        self._check_at = _NEVER  # no waiting session times out before this
+        self._helper: threading.Thread | None = None
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._done: deque = deque()  # (session, outcome) from the helper
+        self._stopping = False
+        self._stopped = threading.Event()  # set while no loop runs
+        self._stopped.set()
 
     def serve_forever(self) -> None:
-        """Start the first worker, then wait for :meth:`shutdown`."""
-        with self._lock:
-            if self._sessions is not None:
-                self._start_worker()
-        self._stopped.wait()
+        """Run the loop on this thread until :meth:`shutdown`."""
+        self._stopped.clear()
+        try:
+            ready, later, select = self._ready, self._later, self._selector.select
+            while not self._stopping:
+                now = time.monotonic()
+                if now >= self._check_at:
+                    self._expire(now)
+                if ready or later:
+                    timeout = 0
+                elif self._check_at == _NEVER:
+                    timeout = None
+                else:
+                    timeout = self._check_at - now
+                for key, events in select(timeout):
+                    if key.data is not None:
+                        self._io(key.data)
+                    elif key.fileobj is self.socket:
+                        self._accept()
+                    else:
+                        self._collect()
+                ready.extend(later)
+                later.clear()
+                if ready:
+                    self._turn(ready.popleft())
+        finally:
+            self._stopped.set()
 
     def shutdown(self) -> None:
-        """Stop accepting connections; open sessions run on."""
-        self._stopped.set()
+        """Stop the loop; returns once :meth:`serve_forever` has. Sessions stay open."""
+        self._stopping = True
         try:
-            # Wakes a waiting worker, whose accept() then fails with EINVAL.
-            self.socket.shutdown(socket.SHUT_RDWR)
+            self._waker.send(b"\0")
         except OSError:
-            pass  # shut already
+            pass  # a wake is pending already, or the server is closed
+        self._stopped.wait()
 
     def server_close(self) -> None:
-        """Stop accepting, end every open session, wait for the workers, and close."""
+        """Stop the loop, end every open session, and close."""
         self.shutdown()
-        with self._lock:
-            sessions, self._sessions = self._sessions or (), None
-            for request in sessions:
-                try:
-                    request.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-        for worker in self._workers:  # no worker starts once the server is closed
-            worker.join()
-        # Closed last, so that no descriptor is reused under a waiting worker.
-        self._waiting.close()
-        super().server_close()
+        for channel in list(self._sessions):
+            try:
+                channel.steps.close()
+            except Exception:
+                self.handle_error(channel._sock, channel.host)
+            self._end(channel)
+        if self._helper is not None:
+            self._jobs.put(None)
+            self._helper.join()
+            self._helper = None
+        self._selector.close()
+        self._wake.close()
+        self._waker.close()
+        self.socket.close()
 
-    def _start_worker(self) -> None:
-        """Start one more worker; the caller holds the lock."""
-        worker = threading.Thread(
-            target=self._work, name="vo-worker-%d" % len(self._workers), daemon=True
-        )
-        worker.start()
-        self._workers.append(worker)
-        self._idle += 1
+    def handle_error(self, request, client_address) -> None:
+        """Print the traceback of a fault no session step handled."""
+        import traceback
 
-    def _admit(self, request, host: str) -> bool:
-        """Take a connection if the caps allow it, and keep a worker waiting to accept."""
-        with self._lock:
-            if (
-                self._sessions is None
-                or len(self._sessions) >= self.max_workers
-                or self._peers.get(host, 0) >= self.max_sessions_per_peer
-            ):
-                return False
-            self._sessions.add(request)
-            self._peers[host] = self._peers.get(host, 0) + 1
-            self._idle -= 1
-            if not self._idle and len(self._workers) < self.max_workers + 1:
-                try:
-                    self._start_worker()
-                except RuntimeError:
-                    pass  # no thread to spare: serve this one; the others keep accepting
-            return True
+        print("-" * 40, file=sys.stderr)
+        print("Exception in the session from", client_address, file=sys.stderr)
+        traceback.print_exc()
+        print("-" * 40, file=sys.stderr)
 
-    def _release(self, request, host: str) -> None:
-        # The socket leaves the set before it is closed, under the lock,
-        # so that server_close never shuts a closed socket.
-        with self._lock:
-            if self._sessions is not None:
-                self._sessions.discard(request)
-            self._peers[host] -= 1
-            if not self._peers[host]:
-                del self._peers[host]
-            self._idle += 1
+    def shutdown_request(self, request: socket.socket) -> None:
+        """Close a connection, its sending side first."""
+        try:
+            request.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+        request.close()
 
-    def _work(self) -> None:
-        """Accept connections and serve each in turn, until the server stops."""
+    # -- the loop's steps ----------------------------------------------------
+
+    def _accept(self) -> None:
         while True:
-            self._waiting.poll()
             try:
                 request, client_address = self.socket.accept()
-            except OSError:  # no connection left, or the socket is shut
-                request = None
-            # Re-armed, the socket wakes the next idle worker for the next
-            # connection, or for the shut socket.
-            self._waiting.modify(self.socket, _ONE_WAKE)
-            if request is None:
-                if self._stopped.is_set():
-                    return
-                continue
+            except OSError:  # none left, or one that failed before it was accepted
+                return
             host = client_address[0]
-            if not self._admit(request, host):
-                busy = Refusal(503, "busy", "every worker is busy; try again later")
-                _send_refusal(Channel(request, timeout=_BUSY_SEND_SECONDS), busy)
+            channel = ServerChannel(request, host)
+            if (
+                len(self._sessions) >= self.max_sessions
+                or self._peers.get(host, 0) >= self.max_sessions_per_peer
+            ):
+                try:
+                    channel.send_frame(_BUSY.reply())
+                except WireError:
+                    pass  # the peer has already gone
                 self.shutdown_request(request)
                 continue
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                self._release(request, host)
-                self.shutdown_request(request)
+            channel.steps = self._session(channel)
+            self._sessions[channel] = None
+            self._peers[host] = self._peers.get(host, 0) + 1
+            self._ready.append(channel)
 
-    def finish_request(self, request, client_address) -> None:
-        request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        channel = Channel(request, timeout=self.service.io_timeout)
+    def _session(self, channel: ServerChannel):
+        """The service's session on ``channel``, then the answer to what ended it."""
         try:
-            self.service.handle_session(channel)
-        except (Refusal, WireError) as exc:
-            if isinstance(exc, WireError):
-                exc = Refusal(400, "protocol-error", str(exc))
-            _send_refusal(channel, exc)
+            try:
+                yield from self.service.handle_session(channel)
+            except (Refusal, WireError) as exc:
+                if isinstance(exc, WireError):
+                    exc = Refusal(400, "protocol-error", str(exc))
+                channel.send_frame(exc.reply())
+            yield from channel.flush()
+        except WireError:
+            pass  # the peer has gone, or stopped reading
+
+    def _turn(self, channel: ServerChannel) -> None:
+        """Resume a session, and file what it waits for next."""
+        (result, error), channel.outcome = channel.outcome, (None, None)
+        try:
+            wait = channel.steps.throw(error) if error else channel.steps.send(result)
+        except StopIteration:
+            self._end(channel)
+            return
+        except Exception:
+            self.handle_error(channel._sock, channel.host)
+            self._end(channel)
+            return
+        if callable(wait):
+            self._offload(channel, wait)
+        elif wait == _DRAIN:
+            self._wait(channel, _DRAIN, selectors.EVENT_WRITE)
+        elif len(channel._buffer) >= wait or channel._recv_failed is not None:
+            self._later.append(channel)
+        else:
+            self._wait(channel, wait, selectors.EVENT_READ)
+
+    def _wait(self, channel: ServerChannel, need: int, events: int) -> None:
+        channel.need = need
+        channel.deadline = time.monotonic() + self.service.io_timeout
+        self._check_at = min(self._check_at, channel.deadline)
+        self._waiting[channel] = None
+        self._watch(channel, events)
+
+    def _io(self, channel: ServerChannel) -> None:
+        """Read or send for a session that waits on its peer."""
+        need = channel.need
+        if need is None:  # not waiting: unwatched until it waits again
+            self._watch(channel, 0)
+            return
+        if need == _DRAIN:
+            moved = channel._push()
+            done = not channel._pending or channel._send_failed is not None
+        else:
+            moved = channel._read()
+            done = len(channel._buffer) >= need or channel._recv_failed is not None
+        if done:
+            self._resume(channel)
+        elif moved:
+            channel.deadline = time.monotonic() + self.service.io_timeout
+
+    def _expire(self, now: float) -> None:
+        """Time out every session that waited on its peer too long."""
+        self._check_at = _NEVER
+        for channel in list(self._waiting):
+            if channel.deadline > now:
+                self._check_at = min(self._check_at, channel.deadline)
+                continue
+            if channel.need == _DRAIN:
+                channel._send_failed = ChannelTimeout("timed out")
+            else:
+                channel._recv_failed = ChannelTimeout("timed out")
+            self._resume(channel)
+
+    def _resume(self, channel: ServerChannel) -> None:
+        del self._waiting[channel]
+        channel.need = None
+        self._ready.append(channel)
+
+    def _watch(self, channel: ServerChannel, events: int) -> None:
+        if events == channel.events:
+            return
+        if not events:
+            self._selector.unregister(channel._sock)
+        elif not channel.events:
+            self._selector.register(channel._sock, events, channel)
+        else:
+            self._selector.modify(channel._sock, events, channel)
+        channel.events = events
+
+    def _end(self, channel: ServerChannel) -> None:
+        del self._sessions[channel]
+        self._waiting.pop(channel, None)
+        self._peers[channel.host] -= 1
+        if not self._peers[channel.host]:
+            del self._peers[channel.host]
+        self._watch(channel, 0)
+        self.shutdown_request(channel._sock)
+
+    # -- work off the loop ---------------------------------------------------
+
+    def _offload(self, channel: ServerChannel, work) -> None:
+        if self._helper is None:
+            self._helper = threading.Thread(target=self._help, name="vo-helper", daemon=True)
+            self._helper.start()
+        self._jobs.put((channel, work))
+
+    def _help(self) -> None:
+        """The helper thread: run each job, and wake the loop with its outcome."""
+        while (job := self._jobs.get()) is not None:
+            channel, work = job
+            try:
+                outcome = (work(), None)
+            except Exception as exc:
+                outcome = (None, exc)
+            self._done.append((channel, outcome))
+            try:
+                self._waker.send(b"\0")
+            except OSError:
+                pass  # a wake is pending already
+
+    def _collect(self) -> None:
+        """Take the wake-ups, and queue the sessions whose work is done."""
+        try:
+            self._wake.recv(4096)
+        except OSError:
+            pass
+        while self._done:
+            channel, outcome = self._done.popleft()
+            channel.outcome = outcome
+            self._ready.append(channel)
 
     def run(self, banner: str) -> None:
         """Print ``<banner> listening on host:port`` and serve until interrupted.

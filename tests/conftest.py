@@ -45,12 +45,23 @@ grant "%(orwell)s" member atlas/data
 
 NOW = datetime(2003, 3, 19, 8, 30, 53, tzinfo=timezone.utc)
 
-# wire.Server names its worker threads with this prefix.
-WORKER_PREFIX = "vo-worker-"
-WORKER_EXIT_SECONDS = 2.0
+# wire.Server names its helper thread with this prefix; a server's loop
+# runs on the thread that calls serve_forever, which the tests start as
+# threading.Thread(target=server.serve_forever), named "... (serve_forever)".
+SERVER_THREAD_PREFIX = "vo-"
+SERVER_THREAD_EXIT_SECONDS = 2.0
+
+
+def server_threads() -> set[threading.Thread]:
+    """Every live thread that runs a server's loop or its helper."""
+    return {
+        t for t in threading.enumerate()
+        if t.name.startswith(SERVER_THREAD_PREFIX) or t.name.endswith("(serve_forever)")
+    }
+
 
 # Every traceback a server printed through wire.Server.handle_error, the
-# hook that a worker calls for an exception no session step handled.
+# hook that the loop calls for an exception no session step handled.
 SERVER_TRACEBACKS = pytest.StashKey[list]()
 
 
@@ -66,18 +77,18 @@ def pytest_configure(config):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Fail the run if a server printed a traceback, or if a worker outlives the tests.
+    """Fail the run if a server printed a traceback, or if a server thread outlives the tests.
 
     A server that meets an exception no session step handles prints its
     traceback and carries on, so no test fails on its own. Every test
-    closes the servers it starts, and a server's workers have exited
-    when its ``server_close`` returns, so any worker still alive after
-    a short grace period belongs to a server that was never closed or
-    is a worker that never exited.
+    closes the servers it starts: ``server_close`` stops the loop, so
+    ``serve_forever`` returns, and joins the helper thread. So a loop
+    or helper thread still alive after a short grace period belongs to
+    a server that was never closed, or did not stop.
     """
-    deadline = time.monotonic() + WORKER_EXIT_SECONDS
+    deadline = time.monotonic() + SERVER_THREAD_EXIT_SECONDS
     while True:
-        alive = sorted(t.name for t in threading.enumerate() if t.name.startswith(WORKER_PREFIX))
+        alive = sorted(t.name for t in server_threads())
         if not alive or time.monotonic() >= deadline:
             break
         time.sleep(0.01)
@@ -87,7 +98,7 @@ def pytest_sessionfinish(session, exitstatus):
         messages.append("a server printed %d traceback(s):" % len(tracebacks))
         messages.extend(tracebacks)
     if alive:
-        messages.append("server worker threads still alive after the run: %s" % ", ".join(alive))
+        messages.append("server threads still alive after the run: %s" % ", ".join(alive))
     if messages:
         reporter = session.config.pluginmanager.get_plugin("terminalreporter")
         if reporter is not None:

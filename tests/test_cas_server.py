@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import select
 import socket
 import struct
 import sys
@@ -12,11 +13,14 @@ from datetime import timedelta
 
 import pytest
 
-from vo_authz import wire
+from vo_authz import cas_server as cas_server_module
+from vo_authz import credentials, wire
+from vo_authz.ca import write_atomically
 from vo_authz.cas_server import CasServer, CasService, load_cas_config, service_from_config
 from vo_authz.cas_server import main as cas_main
 from vo_authz.client import ServiceError, admin_load, issue_assertion
 from vo_authz.credentials import (
+    answer_challenge,
     assertion_from_doc,
     identity_to_doc,
     public_key_to_pem,
@@ -290,6 +294,79 @@ def test_server_close_ends_an_open_session(cas_server):
         assert time.monotonic() - started < 1.0
     finally:
         channel.close()
+
+
+def burn_cpu(seconds):
+    end = time.thread_time() + seconds
+    while time.thread_time() < end:
+        pass
+
+
+def test_a_new_connection_is_challenged_before_a_buffered_request_is_served(
+    cas_server, identities, monkeypatch
+):
+    # A sends its auth and its request in one write. B connects while A's
+    # auth is being checked, and must get its challenge before A's request
+    # takes its turn.
+    verify_session_chain = credentials.verify_session_chain
+    handle_issue = CasService.handle_issue
+
+    def slow_verify(*args):
+        burn_cpu(0.1)
+        return verify_session_chain(*args)
+
+    def slow_issue(*args):
+        burn_cpu(0.1)
+        return handle_issue(*args)
+
+    monkeypatch.setattr(credentials, "verify_session_chain", slow_verify)
+    monkeypatch.setattr(CasService, "handle_issue", slow_issue)
+    a = wire.connect(cas_server.address, timeout=5.0)
+    try:
+        answer_challenge(a, identities.bundle(TULL), {"type": "issue_request"})
+        time.sleep(0.01)
+        b = wire.connect(cas_server.address, timeout=5.0)
+        try:
+            assert b.recv_frame()["type"] == "challenge"
+            # A's reply has not arrived yet.
+            assert select.select([a._sock], [], [], 0)[0] == []
+        finally:
+            b.close()
+        assert a.recv_frame()["status"] == 200
+    finally:
+        a.close()
+
+
+def test_an_issuance_is_served_while_a_policy_load_writes_its_snapshot(
+    cas_server, cas_service, identities, monkeypatch
+):
+    writing = threading.Event()
+
+    def slow_write(path, data):
+        writing.set()
+        time.sleep(0.5)
+        write_atomically(path, data)
+
+    monkeypatch.setattr(cas_server_module, "write_atomically", slow_write)
+    applied = []
+    load = threading.Thread(
+        target=lambda: applied.append(
+            admin_load(
+                cas_server.address, identities.bundle(ADMIN),
+                'rescind "%s" member atlas/admin\n' % TULL,
+            )
+        )
+    )
+    load.start()
+    try:
+        assert writing.wait(timeout=5)
+        started = time.monotonic()
+        issue_assertion(cas_server.address, identities.bundle(ORWELL))
+        assert time.monotonic() - started < 0.25
+    finally:
+        load.join(timeout=5)
+    assert applied == [1]
+    assert cas_service.store.rights_of(TULL) == [RightsTuple("group", "member", "atlas/data")]
 
 
 @pytest.mark.parametrize("failure", ["missing-directory", "rename-blocked"])

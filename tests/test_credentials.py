@@ -423,6 +423,11 @@ def handshake_pair():
     return wire.Channel(a, timeout=5.0), wire.Channel(b, timeout=5.0)
 
 
+def authenticate(server, trust_root, now):
+    """The verifier side of a handshake on a blocking channel."""
+    return creds.authenticate_peer(server, trust_root, now, creds.send_challenge(server))
+
+
 def run_prover(target, *args):
     thread = threading.Thread(target=target, args=args, daemon=True)
     thread.start()
@@ -433,7 +438,7 @@ def test_handshake_happy_path(trust_root, identities, now):
     server, client = handshake_pair()
     bundle = identities.bundle(TULL)
     thread = run_prover(creds.answer_challenge, client, bundle)
-    session = creds.authenticate_peer(server, trust_root[1], now)
+    session = authenticate(server, trust_root[1], now)
     thread.join(timeout=5)
     assert session == bundle.session
     server.close()
@@ -456,7 +461,7 @@ def test_handshake_rejects_wrong_session_key(trust_root, identities, now):
 
     thread = run_prover(prover)
     with pytest.raises(creds.HandshakeError) as exc:
-        creds.authenticate_peer(server, trust_root[1], now)
+        authenticate(server, trust_root[1], now)
     thread.join(timeout=5)
     assert exc.value.code == "nonce-mismatch"
     server.close()
@@ -483,7 +488,7 @@ def test_handshake_rejects_replayed_nonce_signature(trust_root, identities, now)
         })
 
     thread = run_prover(first_prover)
-    creds.authenticate_peer(server, trust_root[1], now)
+    authenticate(server, trust_root[1], now)
     thread.join(timeout=5)
     server.close()
     client.close()
@@ -500,7 +505,7 @@ def test_handshake_rejects_replayed_nonce_signature(trust_root, identities, now)
 
     thread = run_prover(replaying_prover)
     with pytest.raises(creds.HandshakeError) as exc:
-        creds.authenticate_peer(server, trust_root[1], now)
+        authenticate(server, trust_root[1], now)
     thread.join(timeout=5)
     assert exc.value.code == "nonce-mismatch"
     server.close()
@@ -512,7 +517,7 @@ def test_handshake_rejects_expired_session(trust_root, identities, now):
     bundle = identities.bundle(TULL, session_lifetime=timedelta(hours=1))
     thread = run_prover(creds.answer_challenge, client, bundle)
     with pytest.raises(creds.HandshakeError) as exc:
-        creds.authenticate_peer(server, trust_root[1], now + timedelta(hours=2))
+        authenticate(server, trust_root[1], now + timedelta(hours=2))
     thread.join(timeout=5)
     assert exc.value.code == "expired"
     server.close()
@@ -525,7 +530,7 @@ def test_handshake_rejects_foreign_trust_root(identities, now):
     _, other_root = creds.generate_keypair()
     thread = run_prover(creds.answer_challenge, client, bundle)
     with pytest.raises(creds.HandshakeError) as exc:
-        creds.authenticate_peer(server, other_root, now)
+        authenticate(server, other_root, now)
     thread.join(timeout=5)
     assert exc.value.code == "chain-invalid"
     server.close()
@@ -541,7 +546,7 @@ def test_handshake_rejects_wrong_frame_type(trust_root, now):
 
     thread = run_prover(prover)
     with pytest.raises(creds.HandshakeError) as exc:
-        creds.authenticate_peer(server, trust_root[1], now)
+        authenticate(server, trust_root[1], now)
     thread.join(timeout=5)
     assert exc.value.code == "protocol"
     server.close()
@@ -567,7 +572,7 @@ def handshake(bundle, root, now, nonce_key=None):
 
     thread = run_prover(prover)
     try:
-        return creds.authenticate_peer(server, root, now)
+        return authenticate(server, root, now)
     finally:
         thread.join(timeout=5)
         server.close()

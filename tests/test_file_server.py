@@ -54,11 +54,11 @@ from .conftest import (
     SERVER_NAME,
     TULL,
     WELLS,
-    WORKER_PREFIX,
     IdentityFactory,
     ResourceEnv,
     get_bytes,
     make_assertion,
+    server_threads,
 )
 
 DATA_ROLE = RightsTuple("group", "member", "atlas/data")
@@ -1405,10 +1405,6 @@ def test_dropped_upload_leaves_no_file(resource_env, identities, cas_identity, n
 # -- stopping the server -----------------------------------------------------------
 
 
-def worker_threads() -> set[threading.Thread]:
-    return {t for t in threading.enumerate() if t.name.startswith(WORKER_PREFIX)}
-
-
 def test_server_close_ends_an_idle_session(resource_env, identities, cas_identity, now):
     channel = open_channel(resource_env, identities, ORWELL, data_assertion(cas_identity, now))
     try:
@@ -1423,17 +1419,43 @@ def test_server_close_ends_an_idle_session(resource_env, identities, cas_identit
         channel.close()
 
 
+def test_idle_connections_hold_no_thread(resource_env, identities, monkeypatch):
+    monkeypatch.setattr(wire.Server, "max_sessions_per_peer", 64)
+    before = threading.active_count()
+    idle = [wire.connect(resource_env.address, timeout=5.0) for _ in range(40)]
+    try:
+        for channel in idle:
+            assert channel.recv_frame()["type"] == "challenge"
+        assert threading.active_count() <= before + 1
+        # A fresh session is still served at once.
+        started = time.monotonic()
+        with ResourceSession(resource_env.address, identities.bundle(TULL)) as session:
+            assert session.ls("/public") == ["readme.txt"]
+        assert time.monotonic() - started < 1.0
+        resource_env.server.shutdown()
+        started = time.monotonic()
+        resource_env.server.server_close()
+        for channel in idle:
+            channel._sock.settimeout(1.0)
+            with pytest.raises(wire.ConnectionClosedError):
+                channel.recv_frame()
+        assert time.monotonic() - started < 1.0
+    finally:
+        for channel in idle:
+            channel.close()
+
+
 def test_server_close_mid_put_discards_the_upload_and_ends_every_worker(
     resource_env, identities, cas_identity, now
 ):
-    before = worker_threads()
+    before = server_threads()
     assertion = data_assertion(cas_identity, now)
     writer = start_put(resource_env, identities, assertion, "/home/data/cut.dat", b"x" * 5000, 2500)
     try:
         resource_env.server.shutdown()
         resource_env.server.server_close()
         assert upload_names(resource_env) == []
-        assert worker_threads() - before == set()
+        assert server_threads() - before == set()
     finally:
         writer.close()
 

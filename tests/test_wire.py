@@ -2,13 +2,12 @@ from __future__ import annotations
 
 import io
 import os
+import select
 import socket
 import struct
 import subprocess
 import sys
 import threading
-import time
-from collections import Counter
 
 import pytest
 
@@ -28,7 +27,7 @@ from vo_authz.wire import (
     parse_address,
 )
 
-from .conftest import SERVER_TRACEBACKS, TULL, WORKER_PREFIX
+from .conftest import TULL, server_threads
 
 
 @pytest.fixture
@@ -265,6 +264,7 @@ def test_tcp_connections_set_nodelay_on_both_ends():
         def handle_session(self, channel):
             server_side.append(channel._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
             channel.send_frame({"type": "done"})
+            yield from channel.flush()
 
     server = Server(("127.0.0.1", 0), Probe())
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -289,7 +289,7 @@ def test_server_answers_a_refusal_that_ends_the_session():
         io_timeout = 5.0
 
         def handle_session(self, channel):
-            frame = channel.recv_frame()
+            frame = yield from channel.next_frame()
             raise Refusal(403, "no", "refused %s" % frame["type"], uncovered=[])
 
     server = Server(("127.0.0.1", 0), Refuser())
@@ -360,7 +360,7 @@ def test_reset_mid_frame_is_a_transport_error():
 
     def read_a_frame(channel):
         try:
-            channel.recv_frame()
+            yield from channel.next_frame()
         except Exception as exc:
             seen.append(exc)
             raise
@@ -377,21 +377,28 @@ def test_reset_mid_frame_is_a_transport_error():
     assert len(seen) == 1 and isinstance(seen[0], ConnectionClosedError)
 
 
-def test_reset_mid_send_is_a_transport_error():
-    seen = []
-    started = threading.Event()
+def streaming(seen, started=None):
+    """A session that sends up to 64 MiB, each 64 KiB once the socket took the last."""
 
     def stream(channel):
-        started.set()
-        block = b"x" * 1_048_576
+        if started is not None:
+            started.set()
+        block = b"x" * CHUNK_BYTES
         try:
-            for _ in range(256):
+            for _ in range(1024):
                 channel.send_bytes(block)
+                yield from channel.flush()
         except Exception as exc:
             seen.append(exc)
             raise
 
-    server, errors, finished, thread = serve_one_session(stream)
+    return stream
+
+
+def test_reset_mid_send_is_a_transport_error():
+    seen = []
+    started = threading.Event()
+    server, errors, finished, thread = serve_one_session(streaming(seen, started))
     try:
         client = connect(server.address, timeout=5.0)
         assert started.wait(timeout=5)
@@ -405,20 +412,10 @@ def test_reset_mid_send_is_a_transport_error():
 
 
 def test_send_timeout_ends_the_session():
-    # The client never reads, so once the socket buffers fill each
-    # write waits out the kernel's send timeout.
+    # The client never reads, so once the socket buffers fill the
+    # session's sends stop draining, and it times out.
     seen = []
-
-    def stream(channel):
-        block = b"x" * 1_048_576
-        try:
-            for _ in range(256):
-                channel.send_bytes(block)
-        except Exception as exc:
-            seen.append(exc)
-            raise
-
-    server, errors, finished, thread = serve_one_session(stream, io_timeout=0.5)
+    server, errors, finished, thread = serve_one_session(streaming(seen), io_timeout=0.5)
     try:
         client = connect(server.address, timeout=5.0)
         try:
@@ -431,20 +428,62 @@ def test_send_timeout_ends_the_session():
     assert len(seen) == 1 and isinstance(seen[0], ChannelTimeout)
 
 
-# -- the workers ------------------------------------------------------------
+def test_a_peer_that_never_reads_cannot_make_the_server_buffer_its_writes():
+    # The client asks for a large reply, never reads it, and keeps
+    # writing. The server reads only while the session waits for input,
+    # so the client's writes stall once the kernel buffers are full,
+    # and the session ends when its sends make no progress for io_timeout.
+    seen, channels = [], []
+
+    def reply_then_wait(channel):
+        channels.append(channel)
+        yield from channel.next_frame()
+        yield from streaming(seen)(channel)
+        yield from channel.next_frame()
+
+    server, errors, finished, thread = serve_one_session(reply_then_wait, io_timeout=0.5)
+    cap = 32 * 1024 * 1024  # far past what the kernel buffers of one connection hold
+    written = 0
+    try:
+        client = connect(server.address, timeout=5.0)
+        try:
+            client.send_frame({"type": "get"})
+            client._sock.setblocking(False)
+            junk = b"\xff" * CHUNK_BYTES
+            while written < cap:
+                if not select.select([], [client._sock], [], 5.0)[1]:
+                    break  # stalled for good: the server never closed
+                try:
+                    written += client._sock.send(junk)
+                except BlockingIOError:
+                    continue
+                except OSError:  # the server closed the connection
+                    break
+            assert finished.wait(timeout=3)
+        finally:
+            client.close()
+    finally:
+        stop(server, thread)
+    assert errors == []
+    assert written < cap
+    assert len(seen) == 1 and isinstance(seen[0], ChannelTimeout)
+    assert len(channels[0]._buffer) <= CHUNK_BYTES
+
+
+# -- the loop ---------------------------------------------------------------
 
 
 class Echo:
-    """Waits for one frame and answers it with ``done``; counts its workers."""
+    """Waits for one frame and answers it with ``done``; records its threads."""
 
     io_timeout = 5.0
 
     def __init__(self):
-        self.workers = set()
+        self.threads = set()
 
     def handle_session(self, channel):
-        self.workers.add(threading.current_thread().name)
-        channel.recv_frame()
+        self.threads.add(threading.current_thread())
+        yield from channel.next_frame()
         channel.send_frame({"type": "done"})
 
 
@@ -475,21 +514,20 @@ def round_trip(address):
         client.close()
 
 
-def worker_names():
-    return {t.name for t in threading.enumerate() if t.name.startswith(WORKER_PREFIX)}
+BUSY = {
+    "type": "response", "status": 503, "code": "busy",
+    "message": "too many open sessions; try again later",
+}
 
 
 def test_connection_over_the_cap_is_refused_busy(monkeypatch, identities):
-    monkeypatch.setattr(Server, "max_workers", 2)
+    monkeypatch.setattr(Server, "max_sessions", 2)
     server, thread, ended = serve(Echo())
     held = [connect(server.address, timeout=5.0) for _ in range(2)]
     try:
         extra = connect(server.address, timeout=5.0)
         try:
-            assert extra.recv_frame() == {
-                "type": "response", "status": 503, "code": "busy",
-                "message": "every worker is busy; try again later",
-            }
+            assert extra.recv_frame() == BUSY
             with pytest.raises(ConnectionClosedError):
                 extra.recv_frame()
         finally:
@@ -504,7 +542,7 @@ def test_connection_over_the_cap_is_refused_busy(monkeypatch, identities):
         finally:
             extra.close()
         assert ended.acquire(timeout=5)
-        # A session that ends frees its worker for the next connection.
+        # A session that ends makes room for the next connection.
         first = held.pop(0)
         first.send_frame({"type": "hello"})
         assert first.recv_frame() == {"type": "done"}
@@ -517,102 +555,44 @@ def test_connection_over_the_cap_is_refused_busy(monkeypatch, identities):
         stop(server, thread)
 
 
-def test_sequential_connections_reuse_workers(monkeypatch):
-    monkeypatch.setattr(Server, "max_workers", 2)
-    before = worker_names()
+def test_sequential_connections_start_no_thread():
+    before = threading.active_count()
     service = Echo()
     server, thread, ended = serve(service)
     try:
         for _ in range(50):
             round_trip(server.address)
             assert ended.acquire(timeout=5)
-        assert len(service.workers) <= 2
-        assert len(worker_names() - before) <= 2
+        # Every session ran on the loop's own thread.
+        assert service.threads == {thread}
+        assert threading.active_count() == before + 1
     finally:
         stop(server, thread)
 
 
-def test_the_worker_that_went_idle_last_takes_the_next_connection():
-    served = []
+class Offloader(Echo):
+    """Answers each frame with what a function run off the loop returns."""
 
-    class Recorder(Echo):
-        def handle_session(self, channel):
-            served.append(threading.current_thread().name)
-            super().handle_session(channel)
-
-    server, thread, ended = serve(Recorder())
-    try:
-        # Two sessions at once leave three workers: two that served, one spare.
-        held = [connect(server.address, timeout=5.0) for _ in range(2)]
-        for client in held:
-            client.send_frame({"type": "hello"})
-        for client in held:
-            assert client.recv_frame() == {"type": "done"}
-            client.close()
-        assert ended.acquire(timeout=5) and ended.acquire(timeout=5)
-        del served[:]
-        for _ in range(10):
-            round_trip(server.address)
-            assert ended.acquire(timeout=5)
-            time.sleep(0.02)  # for the worker to wait again
-    finally:
-        stop(server, thread)
-    # Woken in turn, the three workers would serve three or four each.
-    assert len(served) == 10 and Counter(served).most_common(1)[0][1] >= 8
+    def handle_session(self, channel):
+        self.threads.add(threading.current_thread())
+        yield from channel.next_frame()
+        channel.send_frame((yield lambda: {"type": "done", "on": threading.current_thread().name}))
 
 
-def test_server_close_ends_the_workers():
-    baseline = threading.active_count()
-    server, thread, ended = serve(Echo())
+def test_server_close_leaves_no_server_thread():
+    baseline, before = threading.active_count(), server_threads()
+    server, thread, ended = serve(Offloader())
     try:
         clients = [connect(server.address, timeout=5.0) for _ in range(3)]
         for client in clients:
             client.send_frame({"type": "hello"})
         for client in clients:
-            assert client.recv_frame() == {"type": "done"}
+            assert client.recv_frame() == {"type": "done", "on": "vo-helper"}
             client.close()
     finally:
         stop(server, thread)
-    deadline = time.monotonic() + 1.0
-    while threading.active_count() > baseline and time.monotonic() < deadline:
-        time.sleep(0.01)
+    assert server_threads() <= before
     assert threading.active_count() <= baseline
-
-
-def test_a_failed_worker_start_costs_no_connection(monkeypatch, pytestconfig):
-    # Only the first worker starts: the system has no thread to spare.
-    start = threading.Thread.start
-    workers = []
-
-    def start_one_worker(thread):
-        if thread.name.startswith(WORKER_PREFIX):
-            if workers:
-                raise RuntimeError("can't start new thread")
-            workers.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", start_one_worker)
-    tracebacks = len(pytestconfig.stash[SERVER_TRACEBACKS])
-    service = Echo()
-    server, thread, ended = serve(service)
-    try:
-        first = connect(server.address, timeout=5.0)
-        second = connect(server.address, timeout=5.0)
-        try:
-            second.send_frame({"type": "hello"})
-            first.send_frame({"type": "hello"})
-            assert first.recv_frame() == {"type": "done"}
-            first.close()
-            # The one worker serves the second connection once the first ends.
-            assert second.recv_frame() == {"type": "done"}
-        finally:
-            first.close()
-            second.close()
-        assert ended.acquire(timeout=5) and ended.acquire(timeout=5)
-    finally:
-        stop(server, thread)
-    assert len(workers) == 1 and service.workers == {workers[0].name}
-    assert len(pytestconfig.stash[SERVER_TRACEBACKS]) == tracebacks
 
 
 def test_sessions_past_the_per_peer_cap_are_refused_busy(monkeypatch):
@@ -623,10 +603,7 @@ def test_sessions_past_the_per_peer_cap_are_refused_busy(monkeypatch):
         try:
             extra = connect(server.address, timeout=5.0)
             try:
-                assert extra.recv_frame() == {
-                    "type": "response", "status": 503, "code": "busy",
-                    "message": "every worker is busy; try again later",
-                }
+                assert extra.recv_frame() == BUSY
             finally:
                 extra.close()
             assert ended.acquire(timeout=5)
@@ -659,13 +636,13 @@ class Greeter:
 
     def handle_session(self, channel):
         channel.send_frame({"type": "done"})
-        channel.recv_frame()
+        yield from channel.next_frame()
 
 
 def test_a_burst_of_connections_stays_within_the_thread_bound(monkeypatch):
-    monkeypatch.setattr(Server, "max_workers", 2)
-    before = worker_names()
+    monkeypatch.setattr(Server, "max_sessions", 2)
     server, thread, ended = serve(Greeter())
+    before = threading.active_count()
     answers = []
     # Every client keeps its connection open until all have their answer.
     answered = threading.Barrier(20, timeout=10)
@@ -682,19 +659,15 @@ def test_a_burst_of_connections_stays_within_the_thread_bound(monkeypatch):
     try:
         for each in clients:
             each.start()
+        during = threading.active_count()
         for each in clients:
             each.join(timeout=10)
         assert not any(each.is_alive() for each in clients)
-        assert len(worker_names() - before) <= 3
+        assert during <= before + 20  # the clients' threads, and no server thread
     finally:
         stop(server, thread)
-    busy = {
-        "type": "response", "status": 503, "code": "busy",
-        "message": "every worker is busy; try again later",
-    }
     assert sorted(answer["type"] for answer in answers) == ["done"] * 2 + ["response"] * 18
-    assert all(answer in ({"type": "done"}, busy) for answer in answers)
-    assert worker_names() - before == set()
+    assert all(answer in ({"type": "done"}, BUSY) for answer in answers)
 
 
 def test_a_failed_bind_raises_its_os_error():
@@ -710,9 +683,11 @@ SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 def test_importing_the_services_loads_no_thread_pool_or_logging():
     # Each module costs every server process its import time at start.
+    # A server prints a traceback only on a fault, and imports traceback then.
     code = (
         "import sys, vo_authz.cas_server, vo_authz.file_server; "
-        "print(*[m for m in ('logging', 'concurrent.futures') if m in sys.modules])"
+        "print(*[m for m in ('logging', 'concurrent.futures', 'socketserver', 'asyncio',"
+        " 'traceback') if m in sys.modules])"
     )
     path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
