@@ -25,12 +25,12 @@ from .credentials import (
     IdentityCredential,
     MalformedCredential,
     generate_keypair,
-    identity_from_doc,
     identity_to_doc,
     floor_to_second,
     private_key_from_pem,
     private_key_to_pem,
     public_key_to_pem,
+    read_identity_file,
     utc_now,
 )
 
@@ -78,17 +78,10 @@ def issue_identity_keypair(
 def load_identity_keypair(path: str, passphrase: Optional[bytes] = None
                           ) -> tuple[IdentityCredential, Ed25519PrivateKey]:
     """Load an identity file: the credential and its decrypted key."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedCredential("identity file is not JSON: %s" % exc) from exc
-    if not isinstance(doc, dict) or "private_key_pem" not in doc:
+    credential, pem = read_identity_file(path)
+    if pem is None:
         raise MalformedCredential("identity file lacks a private key")
-    pem = doc.pop("private_key_pem")
-    credential = identity_from_doc(doc)
-    private = private_key_from_pem(pem, passphrase)
-    return credential, private
+    return credential, private_key_from_pem(pem, passphrase)
 
 
 def write_atomically(path: str, data: bytes) -> None:

@@ -215,9 +215,7 @@ def _parse_requested_rights(value) -> list[RightsTuple]:
 
 
 def _parse_lifetime(value) -> Optional[int]:
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+    if value is not None and not (wire.is_size(value) and value > 0):
         raise wire.Refusal(400, "bad-request", "'lifetime_seconds' must be a positive integer")
     return value
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import getpass
-import json
 import os
 import sys
 from typing import Optional
@@ -37,7 +36,13 @@ from .client import (
     load_unexpired_tag,
     store_tag,
 )
-from .credentials import CredentialError, format_timestamp, utc_now
+from .credentials import (
+    DEFAULT_LIFETIME_SECONDS,
+    CredentialError,
+    format_timestamp,
+    read_identity_file,
+    utc_now,
+)
 from .engine import parse_filter_file, roles_in
 
 DEFAULT_CAS_ADDRESS = "localhost:9000"
@@ -55,31 +60,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity-init", help="start a session from the identity key")
     p.add_argument(
-        "--lifetime-seconds", type=int, default=43200, help="session lifetime (default 43200)"
+        "--lifetime-seconds",
+        type=int,
+        default=DEFAULT_LIFETIME_SECONDS,
+        help="session lifetime (default %(default)s)",
     )
     p.add_argument(
         "--passphrase-env",
         default="VO_AUTHZ_PASSPHRASE",
         help="environment variable holding the identity passphrase (prompts otherwise)",
     )
+    p.set_defaults(run=_cmd_identity_init)
 
     p = sub.add_parser("cas-init", help="obtain an assertion and store it under a tag")
     p.add_argument("tag", help="name for the stored assertion")
     p.add_argument("--filter", help="rights-filter file narrowing the request")
     p.add_argument("--server", default=DEFAULT_CAS_ADDRESS, help="issuance service addr:port")
     p.add_argument("--lifetime-seconds", type=int, help="requested assertion lifetime")
+    p.set_defaults(run=_cmd_cas_init)
 
     p = sub.add_parser("run", help="run one file command under a tag")
     p.add_argument("tag", help="which stored assertion to present")
     p.add_argument("verb", choices=("ls", "get", "put"))
     p.add_argument("args", nargs="*", help="ls <remote> | get <remote> <local> | put <local> <remote>")
     p.add_argument("--server", default=DEFAULT_RESOURCE_ADDRESS, help="file service addr:port")
+    p.set_defaults(run=_cmd_run)
 
-    sub.add_parser("tags", help="list stored tags")
+    sub.add_parser("tags", help="list stored tags").set_defaults(run=_cmd_tags)
 
     p = sub.add_parser("admin-load", help="load a policy command file (admins only)")
     p.add_argument("file", help="command file to apply")
     p.add_argument("--server", default=DEFAULT_CAS_ADDRESS, help="issuance service addr:port")
+    p.set_defaults(run=_cmd_admin_load)
 
     return parser
 
@@ -88,15 +100,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     directory = credential_dir(args.dir)
     try:
-        if args.command == "identity-init":
-            return _cmd_identity_init(args, directory)
-        if args.command == "cas-init":
-            return _cmd_cas_init(args, directory)
-        if args.command == "run":
-            return _cmd_run(args, directory)
-        if args.command == "tags":
-            return _cmd_tags(directory)
-        return _cmd_admin_load(args, directory)
+        return args.run(args, directory)
     except ServiceError as exc:
         print("error: %s" % exc, file=sys.stderr)
         for tuple_dict in exc.uncovered:
@@ -113,12 +117,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _identity_needs_passphrase(directory: str) -> bool:
     try:
-        with open(identity_path(directory), "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        pem = doc.get("private_key_pem")
-        return isinstance(pem, str) and "ENCRYPTED" in pem
-    except (OSError, json.JSONDecodeError, AttributeError):
+        _, pem = read_identity_file(identity_path(directory))
+    except (OSError, ValueError, CredentialError):
         return False
+    return isinstance(pem, str) and "ENCRYPTED" in pem
 
 
 def _cmd_identity_init(args, directory: str) -> int:
@@ -198,7 +200,7 @@ def _download(session: ResourceSession, remote: str, local: str) -> None:
         raise
 
 
-def _cmd_tags(directory: str) -> int:
+def _cmd_tags(args, directory: str) -> int:
     now = utc_now()
     for tag, assertion in list_tags(directory):
         body = assertion.body

@@ -117,53 +117,58 @@ def identity_init(
     return bundle
 
 
-def load_session(directory: str, clock: Clock = utc_now) -> SessionBundle:
-    path = _session_path(directory)
+def _read_credential_file(path: str, missing: str, what: str, parse):
+    """``parse`` the JSON document at ``path``.
+
+    A missing file raises :class:`ClientError` with ``missing``, and one
+    that does not parse raises ``unreadable <what>: <reason>``.
+    """
     if not os.path.exists(path):
-        raise ClientError("no session credential; run 'vo identity-init' first")
+        raise ClientError(missing)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        if not isinstance(doc, dict) or doc.get("kind") != "session-bundle":
-            raise MalformedCredential("not a session bundle")
-        session = session_from_doc(doc["session"])
-        private_key = private_key_from_pem(doc["private_key_pem"])
+            return parse(json.load(handle))
     except (KeyError, TypeError, ValueError, CredentialError) as exc:
-        raise ClientError("unreadable session file %s: %s" % (path, exc))
-    if clock() >= session.not_after:
+        raise ClientError("unreadable %s: %s" % (what, exc))
+
+
+def _bundle_from_doc(doc) -> SessionBundle:
+    if not isinstance(doc, dict) or doc.get("kind") != "session-bundle":
+        raise MalformedCredential("not a session bundle")
+    session = session_from_doc(doc["session"])
+    return SessionBundle(session, private_key_from_pem(doc["private_key_pem"]))
+
+
+def load_session(directory: str, clock: Clock = utc_now) -> SessionBundle:
+    path = _session_path(directory)
+    missing = "no session credential; run 'vo identity-init' first"
+    bundle = _read_credential_file(path, missing, "session file %s" % path, _bundle_from_doc)
+    if clock() >= bundle.session.not_after:
         raise ClientError(
             "session expired at %s; run 'vo identity-init'"
-            % format_timestamp(session.not_after)
+            % format_timestamp(bundle.session.not_after)
         )
-    return SessionBundle(session, private_key)
+    return bundle
 
 
 # -- tagged assertions -----------------------------------------------------------
 
 
-def store_tag(directory: str, tag: str, assertion: Assertion, clock: Clock = utc_now) -> bool:
+def store_tag(directory: str, tag: str, assertion: Assertion) -> bool:
     """Write a tag file atomically; returns whether a tag was replaced."""
     path = _tag_path(directory, tag)
     os.makedirs(os.path.dirname(path), mode=0o700, exist_ok=True)
     existed = os.path.exists(path)
-    doc = {
-        "created_at": format_timestamp(clock()),
-        "assertion": assertion_to_doc(assertion),
-    }
+    doc = {"assertion": assertion_to_doc(assertion)}
     write_atomically(path, json.dumps(doc, indent=1).encode("utf-8"))
     return existed
 
 
 def load_tag(directory: str, tag: str) -> Assertion:
     path = _tag_path(directory, tag)
-    if not os.path.exists(path):
-        raise ClientError("no such tag: %s" % tag)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        return assertion_from_doc(doc["assertion"])
-    except (KeyError, TypeError, ValueError, CredentialError) as exc:
-        raise ClientError("unreadable tag %r: %s" % (tag, exc))
+    return _read_credential_file(
+        path, "no such tag: %s" % tag, "tag %r" % tag, lambda doc: assertion_from_doc(doc["assertion"])
+    )
 
 
 def load_unexpired_tag(directory: str, tag: str, clock: Clock = utc_now) -> Assertion:

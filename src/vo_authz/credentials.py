@@ -84,8 +84,8 @@ class Expired(CredentialError):
 class HandshakeError(wire.Refusal, CredentialError):
     """Challenge-response authentication failed; a service answers 401."""
 
-    def __init__(self, code: str, message: str):
-        super().__init__(401, code, "%s: %s" % (code, message))
+    def __init__(self, code: str, message: str, status: int = 401):
+        super().__init__(status, code, "%s: %s" % (code, message))
 
 
 # -- canonical encoding ------------------------------------------------------
@@ -527,6 +527,22 @@ def identity_from_doc(doc) -> IdentityCredential:
         raise MalformedCredential("bad identity credential: %s" % exc) from exc
 
 
+def read_identity_file(path: str) -> tuple[IdentityCredential, Optional[str]]:
+    """Read an identity file: ``(credential, private_key_pem)``.
+
+    An identity file is an identity document plus an optional
+    ``private_key_pem`` field; the PEM is None when the file holds only
+    the public part.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            doc = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise MalformedCredential("identity file is not JSON: %s" % exc) from exc
+    pem = doc.pop("private_key_pem", None) if isinstance(doc, dict) else None
+    return identity_from_doc(doc), pem
+
+
 def session_to_doc(session: SessionCredential) -> dict:
     return {
         "kind": "session",
@@ -604,7 +620,8 @@ def answer_challenge(channel, bundle: SessionBundle, request: Optional[dict] = N
     """
     frame = channel.recv_frame()
     if frame["type"] == "response":  # refused before the challenge, as 503 busy is
-        raise HandshakeError(str(frame.get("code")), str(frame.get("message")))
+        status = frame.get("status") if type(frame.get("status")) is int else 401
+        raise HandshakeError(str(frame.get("code")), str(frame.get("message")), status)
     if frame["type"] != "challenge":
         raise HandshakeError("protocol", "expected challenge frame, got %r" % frame["type"])
     nonce = _unb64(frame.get("nonce"), "nonce")

@@ -143,10 +143,5 @@ def filter_rights(
 def parse_filter_file(text: str) -> list[RightsTuple]:
     """Parse a rights-filter file: one ``<servicetype> <action> <target>
     <exact|wildcard>`` tuple per line, ``#`` comments allowed."""
-    return parse_lines(text, "<servicetype> <action> <target> <exact|wildcard>", _filter_tuple)
+    return parse_lines(text, "<servicetype> <action> <target> <exact|wildcard>", RightsTuple)
 
-
-def _filter_tuple(service_type: str, action: str, target: str, mode: str) -> RightsTuple:
-    if mode not in (EXACT, WILDCARD):
-        raise ValueError("bad match mode %r" % mode)
-    return RightsTuple(service_type, action, target, mode)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import posixpath
 import re
@@ -56,8 +55,8 @@ from .credentials import (
     assertion_from_doc,
     authenticate_peer,
     format_timestamp,
-    identity_from_doc,
     public_key_from_pem,
+    read_identity_file,
     send_challenge,
     utc_now,
     verify_assertion,
@@ -484,17 +483,19 @@ class _Session:
         except Refusal as refusal:
             return self._refuse(channel, op, frame.get("path"), refusal)
 
-    def _authorize(self, op: str, raw_path) -> tuple[str, int, str]:
-        """Canonicalize, authorize and resolve a client path: ``(path, parent_fd, leaf)``.
+    def _authorize(self, op: str, raw_path, flags: Optional[int] = None) -> tuple:
+        """Canonicalize, authorize and resolve a client path.
 
-        Past the session's deadline every command is refused 401
-        ``expired``. The caller closes ``parent_fd``.
+        Returns ``(path, parent_fd, leaf)``; with ``flags``, opens the
+        leaf with them, closes ``parent_fd`` and returns ``(path, fd)``.
+        The caller closes what it gets. Past the session's deadline
+        every command is refused 401 ``expired``.
         """
         service = self.service
         if service.clock() >= self.deadline:
             message = "credentials expired at %s" % format_timestamp(self.deadline)
             raise Refusal(401, "expired", message)
-        path = None  # a path that fails canonicalization is audited raw
+        path = parent = None  # a path that fails canonicalization is audited raw
         try:
             path = canonical_path(raw_path)
             verdict = authorize_file_op(
@@ -507,33 +508,28 @@ class _Session:
                 service.public_root,
             )
             if verdict.allowed:
-                return (path, *service.fs_path(path))
+                parent, leaf = service.fs_path(path)
+                if flags is None:
+                    return path, parent, leaf
+                return path, _open_at(parent, leaf, flags)
         except PathError as exc:
             raise Refusal(400, "bad-path", str(exc), path) from exc
-        except OSError:
+        except OSError as exc:
+            if parent is not None and isinstance(exc, NotADirectoryError):
+                # Past the walk, only LIST's leaf opens with O_DIRECTORY.
+                raise Refusal(404, "not-a-directory", "not a directory", path) from None
             raise Refusal(*_MISSING[op], path) from None
+        finally:
+            if flags is not None and parent is not None:
+                os.close(parent)
         if verdict.reason == "cas-rights":
             message = "no file right covers %s" % file_url(service.server_name, path)
         else:
             message = "denied by %s" % verdict.reason
         raise Refusal(403, verdict.reason, message, path)
 
-    def _open(self, op: str, raw_path, flags: int) -> tuple[str, int]:
-        """Authorize a client path and open it with ``flags``: ``(path, fd)``."""
-        path, parent, leaf = self._authorize(op, raw_path)
-        try:
-            return path, _open_at(parent, leaf, flags)
-        except PathError as exc:
-            raise Refusal(400, "bad-path", str(exc), path) from exc
-        except NotADirectoryError:  # only LIST opens with O_DIRECTORY
-            raise Refusal(404, "not-a-directory", "not a directory", path) from None
-        except OSError:
-            raise Refusal(*_MISSING[op], path) from None
-        finally:
-            os.close(parent)
-
     def _list(self, channel: wire.ServerChannel, frame: dict) -> bool:
-        path, fd = self._open("LIST", frame.get("path"), _DIR_FLAGS)
+        path, fd = self._authorize("LIST", frame.get("path"), _DIR_FLAGS)
         try:
             names = os.listdir(fd)
         finally:
@@ -544,7 +540,7 @@ class _Session:
         return True
 
     def _get(self, channel: wire.ServerChannel, frame: dict):
-        path, fd = self._open("GET", frame.get("path"), _FILE_FLAGS)
+        path, fd = self._authorize("GET", frame.get("path"), _FILE_FLAGS)
         try:
             size = _regular_file_size(fd)
             if size is None:
@@ -702,25 +698,18 @@ class FileServiceConfig:
 
 
 def load_file_config(path: str) -> FileServiceConfig:
+    """Load a key=value config file; every key but ``listen`` and
+    ``public_root`` is required, and relative paths resolve against it."""
+    keys = [f.name for f in fields(FileServiceConfig)]
     with open(path, "r", encoding="utf-8") as handle:
-        raw = parse_kv_config(handle.read(), [f.name for f in fields(FileServiceConfig)])
+        raw = parse_kv_config(handle.read(), keys)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(value: str) -> str:
         return os.path.join(base, value)
 
-    required = (
-        "server_name",
-        "trust_root_file",
-        "issuer_files",
-        "role_map_file",
-        "grid_map_file",
-        "account_file",
-        "export_root",
-        "audit_file",
-    )
-    for key in required:
-        if not raw.get(key):
+    for key in keys:
+        if key not in ("listen", "public_root") and not raw.get(key):
             raise ValueError("config is missing %r" % key)
     return FileServiceConfig(
         listen=raw.get("listen", ":%d" % DEFAULT_PORT),
@@ -741,12 +730,7 @@ def service_from_config(config: FileServiceConfig, clock: Clock = utc_now) -> Re
         trust_root = public_key_from_pem(handle.read())
     trusted: dict[str, bytes] = {}
     for issuer_file in config.issuer_files:
-        with open(issuer_file, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        if isinstance(doc, dict):
-            # Tolerate a full keypair file; only the public part matters here.
-            doc.pop("private_key_pem", None)
-        credential = identity_from_doc(doc)
+        credential, _ = read_identity_file(issuer_file)  # a full keypair file serves too
         trusted[credential.subject] = credential.public_key
     with open(config.role_map_file, "r", encoding="utf-8") as handle:
         role_map = parse_role_map(handle.read())

@@ -121,33 +121,16 @@ class RightsTuple:
 
 
 @dataclass(frozen=True)
-class ServiceType:
-    """A service type: a name plus the set of actions it defines."""
-
-    name: str
-    actions: frozenset[str]
-
-    def __post_init__(self):
-        if not TOKEN_RE.match(self.name):
-            raise ValueError("bad service type name %r" % self.name)
-        if not self.actions:
-            raise ValueError("service type %r has no actions" % self.name)
-        for action in self.actions:
-            if not TOKEN_RE.match(action):
-                raise ValueError("bad action %r" % action)
-        object.__setattr__(self, "actions", frozenset(self.actions))
-
-
-@dataclass(frozen=True)
 class PolicyStore:
     """Immutable policy database value; writes build a new store.
 
+    ``service_types`` maps each service type's name to its actions.
     ``rights`` is the only record of grants: it maps each subject that
     holds at least one right to its rights in canonical sorted order.
     Every write goes through :func:`apply_command_file`.
     """
 
-    service_types: Mapping[str, ServiceType] = field(default_factory=dict)
+    service_types: Mapping[str, frozenset[str]] = field(default_factory=dict)
     objects: frozenset[tuple[str, str]] = frozenset()
     subjects: frozenset[str] = frozenset()
     rights: Mapping[str, tuple[RightsTuple, ...]] = field(default_factory=dict)
@@ -174,7 +157,7 @@ class _Builder:
     def __init__(self, store: PolicyStore):
         self.service_types = dict(store.service_types)
         self.action_types = {
-            action: st.name for st in self.service_types.values() for action in st.actions
+            action: name for name, actions in self.service_types.items() for action in actions
         }
         self.objects = set(store.objects)
         self.subjects = set(store.subjects)
@@ -200,28 +183,34 @@ class _Builder:
             held = self.touched[subject] = set(self.rights.get(subject, ()))
         return held
 
-    def right(self, action: str, target: str, match_mode: MatchMode) -> RightsTuple:
-        """The rights tuple a command line names by its action."""
+    def right(self, action: str, target: str, match_mode: MatchMode = EXACT) -> RightsTuple:
+        """The rights tuple a command line names by its action; the mode defaults to exact."""
         service_type = self.action_types.get(action)
         if service_type is None:
             raise UnregisteredError("no registered service type has action %r" % action)
         return RightsTuple(service_type, action, target, match_mode)
 
-    def register_service_type(self, service_type: ServiceType) -> None:
-        if service_type.name in self.service_types:
-            raise PolicyError("duplicate service type %r" % service_type.name)
-        for other in self.service_types.values():
-            clash = other.actions & service_type.actions
+    def register_service_type(self, name: str, actions: frozenset[str]) -> None:
+        if not TOKEN_RE.match(name):
+            raise ValueError("bad service type name %r" % name)
+        if not actions:
+            raise ValueError("service type %r has no actions" % name)
+        for action in actions:
+            if not TOKEN_RE.match(action):
+                raise ValueError("bad action %r" % action)
+        if name in self.service_types:
+            raise PolicyError("duplicate service type %r" % name)
+        for other, held in self.service_types.items():
+            clash = held & actions
             if clash:
                 # Grant lines name only the action, so an action must
                 # resolve to exactly one service type store-wide.
                 raise PolicyError(
-                    "action %r already belongs to service type %r"
-                    % (sorted(clash)[0], other.name)
+                    "action %r already belongs to service type %r" % (sorted(clash)[0], other)
                 )
-        self.service_types[service_type.name] = service_type
-        for action in service_type.actions:
-            self.action_types[action] = service_type.name
+        self.service_types[name] = actions
+        for action in actions:
+            self.action_types[action] = name
 
     def register_subject(self, subject: str) -> None:
         self.subjects.add(validate_subject_dn(subject))
@@ -269,15 +258,6 @@ def apply_command_file(store: PolicyStore, text: str) -> tuple[PolicyStore, int]
     return builder.freeze(), len(commands)
 
 
-def _parse_mode(fields: tuple[str, ...]) -> MatchMode:
-    if len(fields) == 4:
-        return EXACT
-    mode = fields[4]
-    if mode not in (EXACT, WILDCARD):
-        raise ValueError("match mode must be 'exact' or 'wildcard', got %r" % mode)
-    return mode  # type: ignore[return-value]
-
-
 def _apply_command(builder: _Builder, *fields: str) -> None:
     verb = fields[0]
     if verb == "servicetype":
@@ -286,7 +266,7 @@ def _apply_command(builder: _Builder, *fields: str) -> None:
         actions = [a for a in fields[2].split(",") if a]
         if len(actions) != len(set(actions)):
             raise ValueError("duplicate action in %r" % fields[2])
-        builder.register_service_type(ServiceType(fields[1], frozenset(actions)))
+        builder.register_service_type(fields[1], frozenset(actions))
     elif verb == "user":
         if len(fields) != 2:
             raise ValueError("user takes <subject-dn>")
@@ -299,7 +279,7 @@ def _apply_command(builder: _Builder, *fields: str) -> None:
         if len(fields) not in (4, 5):
             raise ValueError("%s takes <subject-dn> <action> <target> [exact|wildcard]" % verb)
         subject = validate_subject_dn(fields[1])
-        right = builder.right(fields[2], fields[3], _parse_mode(fields))
+        right = builder.right(*fields[2:])
         if verb == "grant":
             builder.grant(subject, right)
         else:
@@ -311,9 +291,8 @@ def _apply_command(builder: _Builder, *fields: str) -> None:
 def save_snapshot(store: PolicyStore) -> bytes:
     """Serialize a store as a replayable command file."""
     lines = ["# policy snapshot (replayable command file)"]
-    for name in sorted(store.service_types):
-        st = store.service_types[name]
-        lines.append("servicetype %s %s" % (name, ",".join(sorted(st.actions))))
+    for name, actions in sorted(store.service_types.items()):
+        lines.append("servicetype %s %s" % (name, ",".join(sorted(actions))))
     for subject in sorted(store.subjects):
         lines.append("user %s" % quote_field(subject))
     for service_type, target in sorted(store.objects):

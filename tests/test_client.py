@@ -217,6 +217,17 @@ def test_load_session_refuses_a_session_key_that_is_not_text(home):
         load_session(home.dir)
 
 
+def test_a_public_only_identity_file_is_no_keypair(home):
+    path = os.path.join(home.dir, "identity.json")
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    del doc["private_key_pem"]
+    write_owner_only(path, json.dumps(doc).encode("utf-8"))
+    with pytest.raises(CredentialError) as exc:
+        ca.load_identity_keypair(path)
+    assert str(exc.value) == "identity file lacks a private key"
+
+
 @pytest.mark.parametrize(
     "command",
     [["cas-init", "x"], ["run", "x", "ls", "/"], ["admin-load", "policy.txt"]],
@@ -303,6 +314,19 @@ def test_list_tags(tag_world):
     with open(os.path.join(home.dir, "tags", "notes.txt"), "w") as handle:
         handle.write("not a tag")
     assert list_tags(home.dir) == [("attic", stale), ("data", load_tag(home.dir, "data"))]
+
+
+def test_a_tag_file_written_with_created_at_still_loads(tag_world):
+    home = tag_world.home
+    assertion = tag_world.assertion()
+    store_tag(home.dir, "data", assertion)
+    path = os.path.join(home.dir, "tags", "data.json")
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    assert list(doc) == ["assertion"]
+    doc["created_at"] = "2026-01-01T00:00:00Z"  # what older clients also wrote
+    write_owner_only(path, json.dumps(doc).encode("utf-8"))
+    assert load_tag(home.dir, "data") == assertion
 
 
 def test_unreadable_tag_skipped_in_listing(tag_world):

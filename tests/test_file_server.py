@@ -412,10 +412,10 @@ def test_service_from_config_round_trip(tmp_path, trust_root, identities, clock)
 
     cas_cred, cas_key = identities.identity(CAS_DN)
     other_cred, _ = identities.identity(OTHER_CAS_DN)
-    # One issuer file is a full keypair file, the other is public-only;
-    # both shapes must load.
+    # One issuer file is a full keypair file, its key under a passphrase
+    # the service never has; the other is public-only. Both shapes load.
     keypair_doc = identity_to_doc(cas_cred)
-    keypair_doc["private_key_pem"] = private_key_to_pem(cas_key)
+    keypair_doc["private_key_pem"] = private_key_to_pem(cas_key, b"secret")
     issuers = {"cas.json": keypair_doc, "other-cas.json": identity_to_doc(other_cred)}
     config = load_file_config(write_file_service_config(tmp_path, trust_root[1], issuers))
     assert config.server_name == SERVER_NAME
@@ -428,6 +428,18 @@ def test_service_from_config_round_trip(tmp_path, trust_root, identities, clock)
     assert service.grid_map == {CAS_DN: ("data",)}
     assert service.public_root == "/public"
     service.audit_log.close()
+
+
+def test_main_reports_an_issuer_file_that_is_not_json(tmp_path, trust_root, capsys):
+    from vo_authz import file_server
+
+    path = write_file_service_config(tmp_path, trust_root[1], {"cas.json": {}})
+    (tmp_path / "cas.json").write_text("not json\n")
+    assert file_server.main(["--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: identity file is not JSON: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "audit.log").exists()
 
 
 def test_load_file_config_requires_every_key(tmp_path):

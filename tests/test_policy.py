@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from vo_authz.cas_server import CasService
+from vo_authz.engine import parse_filter_file
 from vo_authz.lineformat import LineError
 from vo_authz.policy import (
     EXACT,
@@ -11,7 +13,6 @@ from vo_authz.policy import (
     PolicyError,
     PolicyStore,
     RightsTuple,
-    ServiceType,
     UnregisteredError,
     apply_command_file,
     load_snapshot,
@@ -303,6 +304,38 @@ def test_grant_rejects_bad_mode_token():
         apply_command_file(store, 'grant "%s" member atlas/admin glob\n' % TULL)
 
 
+def test_an_unknown_action_is_reported_before_a_bad_mode():
+    error = rule_error(base_store(), 'grant "%s" fly atlas/admin glob' % TULL)
+    assert str(error) == "no registered service type has action 'fly'"
+
+
+def _filter_file_error(demo_store, cas_identity, trust_root) -> str:
+    with pytest.raises(LineError) as exc:
+        parse_filter_file("group member atlas/admin exactly\n")
+    return str(exc.value)
+
+
+def _command_file_error(demo_store, cas_identity, trust_root) -> str:
+    return str(rule_error(demo_store, 'grant "%s" member atlas/admin exactly' % TULL))
+
+
+def _issue_request_error(demo_store, cas_identity, trust_root) -> str:
+    service = CasService(cas_identity[0], cas_identity[1], trust_root[1], demo_store)
+    right = {"service_type": "group", "action": "member", "target": "atlas/admin",
+             "match_mode": "exactly"}
+    reply = service.handle_request(TULL, {"type": "issue_request", "rights": [right]})
+    assert (reply["status"], reply["code"]) == (400, "bad-request")
+    return reply["message"]
+
+
+@pytest.mark.parametrize(
+    "error", [_filter_file_error, _command_file_error, _issue_request_error],
+    ids=["filter-file", "command-file", "issue-request"],
+)
+def test_one_match_mode_message_from_every_entry_point(error, demo_store, cas_identity, trust_root):
+    assert "bad match mode 'exactly'" in error(demo_store, cas_identity, trust_root)
+
+
 def test_servicetype_rejects_duplicate_action_list():
     with pytest.raises(LineError):
         apply_command_file(PolicyStore(), "servicetype file read,read\n")
@@ -426,7 +459,7 @@ class StoreModel:
         held = {subject for subject, _ in self.grants.pairs}
         return PolicyStore(
             service_types={
-                t: ServiceType(t, frozenset(SERVICE_TYPES[t].split(","))) for t in self.types
+                t: frozenset(SERVICE_TYPES[t].split(",")) for t in self.types
             },
             objects=frozenset(self.objects),
             subjects=frozenset(self.subjects),
@@ -567,7 +600,7 @@ def reference_snapshot(store: PolicyStore) -> bytes:
     """The snapshot format as first defined: one sort over the whole store."""
     lines = ["# policy snapshot (replayable command file)"]
     for name in sorted(store.service_types):
-        actions = ",".join(sorted(store.service_types[name].actions))
+        actions = ",".join(sorted(store.service_types[name]))
         lines.append("servicetype %s %s" % (name, actions))
     lines += ["user %s" % quote_field(s) for s in sorted(store.subjects)]
     lines += ["object %s %s" % o for o in sorted(store.objects)]

@@ -538,7 +538,7 @@ def test_connection_over_the_cap_is_refused_busy(monkeypatch, identities):
         try:
             with pytest.raises(HandshakeError) as exc:
                 answer_challenge(extra, identities.bundle(TULL))
-            assert exc.value.code == "busy"
+            assert (exc.value.status, exc.value.code) == (503, "busy")
         finally:
             extra.close()
         assert ended.acquire(timeout=5)
