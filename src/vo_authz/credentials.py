@@ -25,7 +25,7 @@ import secrets
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -95,13 +95,18 @@ def canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
-def format_timestamp(ts: datetime) -> str:
-    if ts.tzinfo is None:
-        raise ValueError("timestamps must be timezone-aware")
+def _utc_seconds(ts: datetime, name: str) -> datetime:
+    """``ts`` in UTC; a naive or fractional-second ``ts`` is refused, named ``name``."""
+    if ts.utcoffset() is None:
+        raise ValueError("%s must be timezone-aware" % name)
     ts = ts.astimezone(timezone.utc)
     if ts.microsecond:
-        raise ValueError("timestamps must be whole seconds")
-    return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+        raise ValueError("%s must be whole seconds" % name)
+    return ts
+
+
+def format_timestamp(ts: datetime) -> str:
+    return _TIMESTAMP.write(_utc_seconds(ts, "timestamps"))
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -239,14 +244,6 @@ def _verify(raw_key: bytes, signature: bytes, payload: bytes) -> bool:
         return False
 
 
-def _validate_window_field(ts: datetime, name: str) -> datetime:
-    if ts.tzinfo is None or ts.utcoffset() is None:
-        raise ValueError("%s must be timezone-aware" % name)
-    if ts.astimezone(timezone.utc).microsecond:
-        raise ValueError("%s must be whole seconds" % name)
-    return ts.astimezone(timezone.utc)
-
-
 def _check_window(what: str, now: datetime, not_after: datetime, not_before: Optional[datetime] = None) -> None:
     """Raise unless ``now`` is inside ``[not_before - CLOCK_SKEW, not_after)``."""
     if not_before is not None and now < not_before - CLOCK_SKEW:
@@ -272,15 +269,13 @@ class IdentityCredential:
         validate_subject_dn(self.subject)
         if len(self.public_key) != 32:
             raise ValueError("public key must be 32 raw bytes")
-        object.__setattr__(self, "not_before", _validate_window_field(self.not_before, "not_before"))
-        object.__setattr__(self, "not_after", _validate_window_field(self.not_after, "not_after"))
+        object.__setattr__(self, "not_before", _utc_seconds(self.not_before, "not_before"))
+        object.__setattr__(self, "not_after", _utc_seconds(self.not_after, "not_after"))
         if not self.not_before < self.not_after:
             raise ValueError("not_before must precede not_after")
 
     def signed_payload(self) -> bytes:
-        doc = identity_to_doc(self)
-        del doc["signature"]
-        return canonical_json(doc)
+        return canonical_json(_to_doc(vars(self), _IDENTITY_BODY_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -295,7 +290,7 @@ class SessionCredential:
     def __post_init__(self):
         if len(self.session_public_key) != 32:
             raise ValueError("session public key must be 32 raw bytes")
-        object.__setattr__(self, "not_after", _validate_window_field(self.not_after, "not_after"))
+        object.__setattr__(self, "not_after", _utc_seconds(self.not_after, "not_after"))
         if self.not_after > self.identity.not_after:
             raise ValueError(
                 "session may not outlive its identity (identity expires %s)"
@@ -319,13 +314,10 @@ def delegate_session(
     not_after: datetime,
 ) -> SessionCredential:
     """Sign a session credential with the identity key."""
-    not_after = floor_to_second(not_after)
-    if not_after > identity.not_after:
-        raise CredentialError(
-            "requested lifetime exceeds the identity window (identity expires %s)"
-            % format_timestamp(identity.not_after)
-        )
-    unsigned = SessionCredential(identity, session_public_key, not_after, delegation_signature=b"")
+    try:
+        unsigned = SessionCredential(identity, session_public_key, floor_to_second(not_after), b"")
+    except ValueError as exc:
+        raise CredentialError(str(exc)) from exc
     return replace(unsigned, delegation_signature=identity_private_key.sign(unsigned.signed_payload()))
 
 
@@ -378,31 +370,19 @@ class AssertionBody:
         validate_subject_dn(self.subject)
         if not _SERIAL_RE.match(self.serial):
             raise ValueError("serial must be 32 lowercase hex digits")
-        object.__setattr__(self, "issued_at", _validate_window_field(self.issued_at, "issued_at"))
-        object.__setattr__(self, "not_after", _validate_window_field(self.not_after, "not_after"))
+        object.__setattr__(self, "issued_at", _utc_seconds(self.issued_at, "issued_at"))
+        object.__setattr__(self, "not_after", _utc_seconds(self.not_after, "not_after"))
         if not self.issued_at < self.not_after:
             raise ValueError("issued_at must precede not_after")
         object.__setattr__(self, "rights", sort_rights(self.rights))
 
     def signed_payload(self) -> bytes:
         """Deterministic bytes: equal bodies encode identically."""
-        return canonical_json(_body_dict(self))
+        return canonical_json(_to_doc(vars(self), _BODY_FIELDS))
 
 
 def fresh_serial() -> str:
     return secrets.token_hex(16)
-
-
-def _body_dict(body: AssertionBody) -> dict:
-    return {
-        "issued_at": format_timestamp(body.issued_at),
-        "issuer": body.issuer,
-        "not_after": format_timestamp(body.not_after),
-        "rights": [r.as_dict() for r in body.rights],
-        "serial": body.serial,
-        "subject": body.subject,
-        "version": body.version,
-    }
 
 
 @dataclass(frozen=True)
@@ -437,94 +417,123 @@ def verify_assertion(
 
 # -- serialized documents ----------------------------------------------------
 #
-# A signed object is stored and transmitted as one JSON document: the
-# canonical body fields plus a base64 signature field. Each document has
-# one field table naming every field and its JSON type, and its parser
-# checks the table once: unknown, missing or mistyped fields reject the
-# document, and a ``kind`` must be the table's string. Each rights entry
-# goes through ``RightsTuple.from_dict``, as a requested right does at
-# the issuance service. For an identity and an assertion the signed
-# payload is the document without its signature, encoded canonically; a
-# session's delegation signs its own payload
+# A signed object is stored and transmitted as one JSON document. Each
+# document's field table is the only description of its format: it names
+# every field, in document order, with one of
+#
+# * a JSON type (``str``, ``int``): the value is taken as it is;
+# * a ``_Codec``: the JSON type, and how the value is read and written
+#   (timestamps, base64 bytes, the rights list, the nested identity);
+# * a string: the value a ``kind`` field must equal.
+#
+# ``_from_doc`` reads every document and ``_to_doc`` writes every one. A
+# document with unknown, missing or mistyped fields is refused, and each
+# rights entry goes through ``RightsTuple.from_dict``, as a requested right
+# does at the issuance service. An identity and an assertion sign their
+# body table's document, the document without its signature, encoded
+# canonically; a session's delegation signs its own payload
 # (``SessionCredential.signed_payload``).
 
-_ASSERTION_FIELDS = {"issued_at": str, "issuer": str, "not_after": str, "rights": list,
-                     "serial": str, "subject": str, "version": int, "signature": str}
-_IDENTITY_FIELDS = {"kind": "identity", "subject": str, "public_key": str,
-                    "not_before": str, "not_after": str, "signature": str}
-_SESSION_FIELDS = {"kind": "session", "identity": dict, "session_public_key": str,
-                   "not_after": str, "delegation_signature": str}
+
+class _Codec(NamedTuple):
+    """A field's JSON type, and how its value is read and written."""
+
+    json_type: type
+    read: Callable  # (JSON value, field name) -> value; may raise ValueError
+    write: Callable  # a built object's value -> JSON value
 
 
-def _fields(doc, schema: Mapping[str, object], what: str) -> dict:
-    """Return ``doc`` if it has exactly ``schema``'s fields, each as typed.
+# A built object's timestamps are UTC whole seconds already, so writing one checks
+# nothing. ``isoformat`` pads the year to four digits, as ``strftime`` may not.
+_TIMESTAMP = _Codec(str, lambda text, name: parse_timestamp(text), lambda ts: ts.isoformat()[:19] + "Z")
+_BYTES = _Codec(str, _unb64, _b64)
+_RIGHTS = _Codec(list, lambda entries, name: tuple(map(RightsTuple.from_dict, entries)),
+                 lambda rights: [r.as_dict() for r in rights])
+_IDENTITY = _Codec(dict, lambda doc, name: identity_from_doc(doc), lambda cred: identity_to_doc(cred))
 
-    A schema value is a type, which the field's value must have exactly
-    (so ``true`` is no ``int``), or a string the value must equal.
+_BODY_FIELDS = {"issued_at": _TIMESTAMP, "issuer": str, "not_after": _TIMESTAMP, "rights": _RIGHTS,
+                "serial": str, "subject": str, "version": int}
+_ASSERTION_FIELDS = {**_BODY_FIELDS, "signature": _BYTES}
+_IDENTITY_BODY_FIELDS = {"kind": "identity", "subject": str, "public_key": _BYTES,
+                         "not_before": _TIMESTAMP, "not_after": _TIMESTAMP}
+_IDENTITY_FIELDS = {**_IDENTITY_BODY_FIELDS, "signature": _BYTES}
+_SESSION_FIELDS = {"kind": "session", "identity": _IDENTITY, "session_public_key": _BYTES,
+                   "not_after": _TIMESTAMP, "delegation_signature": _BYTES}
+
+
+def _malformed(what: str, message: str) -> MalformedCredential:
+    """The refusal of a document, named by the first word of ``what``."""
+    return MalformedCredential("%s %s" % (what.partition(" ")[0], message))
+
+
+def _from_doc(doc, table: Mapping[str, object], what: str, build):
+    """``build(**values)``, the values read from a document with exactly ``table``'s fields.
+
+    Each value must have its field's JSON type exactly (so ``true`` is no
+    ``int``). ``what`` names the built object in messages ("identity
+    credential"), and its first word names the document. A ``ValueError``
+    from a codec or from ``build`` becomes :class:`MalformedCredential`.
     """
     if not isinstance(doc, dict):
-        raise MalformedCredential("%s document must be a JSON object" % what)
-    if doc.keys() != schema.keys():
-        raise MalformedCredential("%s document has wrong fields: %r" % (what, sorted(doc)))
-    for name, want in schema.items():
-        value = doc[name]
-        if isinstance(want, str):
-            if value != want:
-                raise MalformedCredential("%s field %r must be %r" % (what, name, want))
-        elif type(value) is not want:
-            raise MalformedCredential("%s field %r must be %s" % (what, name, want.__name__))
+        raise _malformed(what, "document must be a JSON object")
+    if doc.keys() != table.keys():
+        raise _malformed(what, "document has wrong fields: %r" % sorted(doc))
+    values = {}
+    try:
+        for name, want in table.items():
+            value = doc[name]
+            if want.__class__ is str:
+                if value != want:
+                    raise _malformed(what, "field %r must be %r" % (name, want))
+                continue
+            json_type = want if want.__class__ is type else want.json_type
+            if type(value) is not json_type:
+                raise _malformed(what, "field %r must be %s" % (name, json_type.__name__))
+            values[name] = value if json_type is want else want.read(value, name)
+        return build(**values)
+    except ValueError as exc:
+        raise MalformedCredential("bad %s: %s" % (what, exc)) from exc
+
+
+def _to_doc(values: Mapping[str, object], table: Mapping[str, object]) -> dict:
+    """The document ``table`` describes, from a built object's field ``values``."""
+    doc = {}
+    for name, want in table.items():
+        if want.__class__ is _Codec:
+            doc[name] = want.write(values[name])
+        elif want.__class__ is str:
+            doc[name] = want
+        else:
+            doc[name] = values[name]
     return doc
 
 
 def assertion_to_doc(assertion: Assertion) -> dict:
-    doc = _body_dict(assertion.body)
-    doc["signature"] = _b64(assertion.signature)
-    return doc
+    return _to_doc(vars(assertion.body) | {"signature": assertion.signature}, _ASSERTION_FIELDS)
 
 
 def assertion_from_doc(doc) -> Assertion:
-    doc = _fields(doc, _ASSERTION_FIELDS, "assertion")
-    signature = _unb64(doc["signature"], "signature")
-    try:
-        body = AssertionBody(
-            issuer=doc["issuer"],
-            subject=doc["subject"],
-            serial=doc["serial"],
-            issued_at=parse_timestamp(doc["issued_at"]),
-            not_after=parse_timestamp(doc["not_after"]),
-            rights=tuple(RightsTuple.from_dict(r) for r in doc["rights"]),
-            version=doc["version"],
-        )
-    except ValueError as exc:
-        raise MalformedCredential("bad assertion body: %s" % exc) from exc
-    if [r.as_dict() for r in body.rights] != doc["rights"]:
+    assertion = _from_doc(doc, _ASSERTION_FIELDS, "assertion body",
+                          lambda signature, **body: Assertion(AssertionBody(**body), signature))
+    if _RIGHTS.write(assertion.body.rights) != doc["rights"]:
         raise MalformedCredential("assertion rights are not in canonical order")
-    return Assertion(body=body, signature=signature)
+    return assertion
 
 
 def identity_to_doc(credential: IdentityCredential) -> dict:
-    return {
-        "kind": "identity",
-        "subject": credential.subject,
-        "public_key": _b64(credential.public_key),
-        "not_before": format_timestamp(credential.not_before),
-        "not_after": format_timestamp(credential.not_after),
-        "signature": _b64(credential.signature),
-    }
+    return _to_doc(vars(credential), _IDENTITY_FIELDS)
 
 
 def identity_from_doc(doc) -> IdentityCredential:
-    doc = _fields(doc, _IDENTITY_FIELDS, "identity")
-    try:
-        return IdentityCredential(
-            subject=doc["subject"],
-            public_key=_unb64(doc["public_key"], "public_key"),
-            not_before=parse_timestamp(doc["not_before"]),
-            not_after=parse_timestamp(doc["not_after"]),
-            signature=_unb64(doc["signature"], "signature"),
-        )
-    except ValueError as exc:
-        raise MalformedCredential("bad identity credential: %s" % exc) from exc
+    return _from_doc(doc, _IDENTITY_FIELDS, "identity credential", IdentityCredential)
+
+
+def session_to_doc(session: SessionCredential) -> dict:
+    return _to_doc(vars(session), _SESSION_FIELDS)
+
+
+def session_from_doc(doc) -> SessionCredential:
+    return _from_doc(doc, _SESSION_FIELDS, "session credential", SessionCredential)
 
 
 def read_identity_file(path: str) -> tuple[IdentityCredential, Optional[str]]:
@@ -541,29 +550,6 @@ def read_identity_file(path: str) -> tuple[IdentityCredential, Optional[str]]:
             raise MalformedCredential("identity file is not JSON: %s" % exc) from exc
     pem = doc.pop("private_key_pem", None) if isinstance(doc, dict) else None
     return identity_from_doc(doc), pem
-
-
-def session_to_doc(session: SessionCredential) -> dict:
-    return {
-        "kind": "session",
-        "identity": identity_to_doc(session.identity),
-        "session_public_key": _b64(session.session_public_key),
-        "not_after": format_timestamp(session.not_after),
-        "delegation_signature": _b64(session.delegation_signature),
-    }
-
-
-def session_from_doc(doc) -> SessionCredential:
-    doc = _fields(doc, _SESSION_FIELDS, "session")
-    try:
-        return SessionCredential(
-            identity=identity_from_doc(doc["identity"]),
-            session_public_key=_unb64(doc["session_public_key"], "session_public_key"),
-            not_after=parse_timestamp(doc["not_after"]),
-            delegation_signature=_unb64(doc["delegation_signature"], "delegation_signature"),
-        )
-    except ValueError as exc:
-        raise MalformedCredential("bad session credential: %s" % exc) from exc
 
 
 # -- challenge-response handshake --------------------------------------------

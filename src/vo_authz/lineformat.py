@@ -37,6 +37,14 @@ _FIELD_RE = re.compile(
     r'|(")'  # unterminated quote
     r"|(#)"  # comment: ends the line
 )
+# One item of a comma-separated list per match; whitespace and commas
+# between items match nothing and are skipped. A bare item runs to the
+# next comma, and may hold ``"`` after its first character.
+_LIST_ITEM_RE = re.compile(
+    r'"([^"]*)"'  # quoted item
+    r'|([^\s,"][^,]*)'  # bare item
+    r'|(")'  # unterminated quote
+)
 _NEEDS_QUOTES = re.compile(r"[\s#]")
 # A config value, with one space put before it: it runs up to a ``#``
 # that is outside double quotes and follows whitespace, so a ``#`` that
@@ -118,23 +126,12 @@ def parse_kv_config(text: str, keys) -> dict[str, str]:
 
 
 def split_quoted_list(value: str) -> list[str]:
-    """Split a comma-separated list whose items may be double-quoted."""
-    items: list[str] = []
-    i, n = 0, len(value)
-    while i < n:
-        while i < n and (value[i].isspace() or value[i] == ","):
-            i += 1
-        if i >= n:
-            break
-        if value[i] == '"':
-            end = value.find('"', i + 1)
-            if end < 0:
-                raise LineFormatError("unterminated quote in list")
-            items.append(value[i + 1:end])
-            i = end + 1
-        else:
-            start = i
-            while i < n and value[i] != ",":
-                i += 1
-            items.append(value[start:i].strip())
-    return [item for item in items if item]
+    """Split a comma-separated list whose items may be double-quoted.
+
+    Bare items are trimmed, quoted ones kept as they are, and empty items
+    dropped.
+    """
+    matches = _LIST_ITEM_RE.findall(value)
+    if any(unterminated for _, _, unterminated in matches):
+        raise LineFormatError("unterminated quote in list")
+    return [quoted or bare.strip() for quoted, bare, _ in matches if quoted or bare]

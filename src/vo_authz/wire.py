@@ -645,6 +645,7 @@ def connect(address: tuple[str, int], timeout: float | None = 10.0) -> Channel:
 def parse_address(text: str) -> tuple[str, int]:
     """Parse ``host:port`` (bare ``:port`` binds all interfaces)."""
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit() or int(port) > 65535:
+    # ASCII digits only: ``isdigit`` and ``int`` also take other scripts' digits.
+    if not sep or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ValueError("expected host:port, got %r" % text)
     return host or "0.0.0.0", int(port)

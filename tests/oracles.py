@@ -3,8 +3,8 @@
 Everything here is deliberately written without looking at the package
 code paths it checks: the glob matcher is a plain recursive backtracker
 (no regex), the canonical encoder builds its JSON by string concatenation,
-the grant/rescind model is a bare set of pairs, and the field splitter
-is a character-by-character scanner.
+the grant/rescind model is a bare set of pairs, and the field and list
+splitters are character-by-character scanners.
 
 The signed-document parsers at the end are the other kind of oracle: the
 package's earlier parsers (one field check per parser, rights entries
@@ -149,6 +149,29 @@ def split_fields(line: str) -> list[str]:
                 i += 1
             fields.append(line[start:i])
     return fields
+
+
+def split_quoted_list(value: str) -> list[str]:
+    """Character-by-character splitter of a comma-separated list whose items may be quoted."""
+    items: list[str] = []
+    i, n = 0, len(value)
+    while i < n:
+        while i < n and (value[i].isspace() or value[i] == ","):
+            i += 1
+        if i >= n:
+            break
+        if value[i] == '"':
+            end = value.find('"', i + 1)
+            if end < 0:
+                raise LineFormatError("unterminated quote in list")
+            items.append(value[i + 1:end])
+            i = end + 1
+        else:
+            start = i
+            while i < n and value[i] != ",":
+                i += 1
+            items.append(value[start:i].strip())
+    return [item for item in items if item]
 
 
 # -- frozen signed-document parsers ----------------------------------------------

@@ -121,6 +121,34 @@ def test_format_timestamp_rejects_naive_and_subsecond():
         creds.format_timestamp(SAMPLE_ISSUED_AT.replace(microsecond=1))
 
 
+def test_format_timestamp_pads_years_before_1000():
+    early = datetime(999, 1, 2, 3, 4, 5, tzinfo=UTC)
+    assert creds.format_timestamp(early) == "0999-01-02T03:04:05Z"
+    assert creds.parse_timestamp(creds.format_timestamp(early)) == early
+
+
+# A constructor names the field it refuses; format_timestamp says "timestamps".
+@pytest.mark.parametrize(
+    "ts,problem",
+    [(datetime(2003, 3, 19, 8, 30, 53), "timezone-aware"), (SAMPLE_ISSUED_AT.replace(microsecond=1), "whole seconds")],
+)
+@pytest.mark.parametrize(
+    "built,field",
+    [("identity", "not_before"), ("identity", "not_after"), ("session", "not_after"),
+     ("body", "issued_at"), ("body", "not_after")],
+)
+def test_constructors_refuse_what_format_timestamp_refuses(identities, ts, problem, built, field):
+    with pytest.raises(ValueError, match="^timestamps must be %s$" % problem):
+        creds.format_timestamp(ts)
+    obj = {
+        "identity": lambda: identities.identity(TULL)[0],
+        "session": lambda: identities.bundle(TULL).session,
+        "body": sample_body,
+    }[built]()
+    with pytest.raises(ValueError, match="^%s must be %s$" % (field, problem)):
+        dataclasses.replace(obj, **{field: ts})
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -203,6 +231,13 @@ def test_session_cannot_outlive_identity(identities, now):
     with pytest.raises(creds.CredentialError) as exc:
         creds.delegate_session(cred, private, session_public, now + timedelta(hours=2))
     assert "identity" in str(exc.value)
+
+
+def test_delegate_session_refuses_a_naive_lifetime(identities, now):
+    cred, private = identities.identity(TULL)
+    naive = (now + timedelta(hours=1)).replace(tzinfo=None)
+    with pytest.raises(creds.CredentialError, match="not_after must be timezone-aware"):
+        creds.delegate_session(cred, private, creds.generate_keypair()[1], naive)
 
 
 def test_session_constructor_enforces_identity_bound(identities, now):
@@ -342,6 +377,21 @@ def test_assertion_doc_round_trip(issuer_key):
     again = creds.assertion_from_doc(doc)
     assert again == assertion
     creds.verify_assertion(again, trusted(cred), SAMPLE_ISSUED_AT)
+
+
+def test_documents_survive_a_read_and_a_write_unchanged(issuer_key, identities):
+    _, private = issuer_key
+    session = identities.bundle(TULL).session
+    assertion_doc = creds.assertion_to_doc(make_assertion(private))
+    cases = [
+        (creds.identity_to_doc(session.identity), creds.identity_from_doc, creds.identity_to_doc),
+        (creds.session_to_doc(session), creds.session_from_doc, creds.session_to_doc),
+        (assertion_doc, creds.assertion_from_doc, creds.assertion_to_doc),
+    ]
+    for doc, read, write in cases:
+        doc = json.loads(json.dumps(doc))
+        assert list(write(read(doc)).items()) == list(doc.items())
+    assert creds.assertion_from_doc(assertion_doc).body.signed_payload() == FROZEN_CANONICAL
 
 
 def test_assertion_doc_rejects_unsorted_rights(issuer_key):

@@ -218,3 +218,20 @@ def test_split_quoted_list(value, expected):
 def test_split_quoted_list_unterminated():
     with pytest.raises(LineFormatError):
         split_quoted_list('"a, b')
+
+
+# Quotes, commas, ASCII and Unicode whitespace, and text.
+LIST_ALPHABET = ['"', '"', ",", ",", " ", " ", "\t", "\xa0", "\x1c", "a", "b", "/", "="]
+
+
+def test_split_quoted_list_agrees_with_the_character_scanner():
+    rng = random.Random(20032)
+    kinds = collections.Counter()
+    for _ in range(20000):
+        value = "".join(rng.choice(LIST_ALPHABET) for _ in range(rng.randrange(24)))
+        expected = outcome(oracles.split_quoted_list, value)
+        assert outcome(split_quoted_list, value) == expected, repr(value)
+        kinds[expected[1] if isinstance(expected, tuple) else "items"] += 1
+    # Good lists and the unterminated-quote error each occur often.
+    assert min(kinds.values()) > 1000, kinds
+    assert len(kinds) == 2, kinds

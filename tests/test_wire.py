@@ -249,9 +249,11 @@ def test_parse_address(text, expected):
     assert parse_address(text) == expected
 
 
-@pytest.mark.parametrize("text", ["localhost", "host:", "host:abc", "", ":70000", "h:65536"])
+# Digits of other scripts pass ``isdigit``, and ``int`` reads most of them.
+@pytest.mark.parametrize("text", ["localhost", "host:", "host:abc", "", ":70000", "h:65536",
+                                  ":٢٨١٣", "h:１２", ":²"])
 def test_parse_address_rejects(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected host:port"):
         parse_address(text)
 
 
