@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from typing import Iterable, Literal, Mapping
 
 from .lineformat import LineError, parse_lines, quote_field
@@ -120,6 +121,11 @@ class RightsTuple:
         return cls(**data)
 
 
+# A right's fields in declaration order: sorting by them gives the
+# dataclass order, with no Python-level comparison.
+_CANONICAL = attrgetter("service_type", "action", "target", "match_mode")
+
+
 @dataclass(frozen=True)
 class PolicyStore:
     """Immutable policy database value; writes build a new store.
@@ -151,7 +157,8 @@ class _Builder:
     It never writes to the store it copies, so a failed batch leaves
     that store untouched. Only the subjects a batch grants to or
     rescinds from get a mutable set, and :meth:`freeze` re-sorts those
-    alone; every other subject keeps its tuple.
+    alone; every other subject keeps its tuple. Each distinct right a
+    batch names is built once, however many lines name it.
     """
 
     def __init__(self, store: PolicyStore):
@@ -163,11 +170,12 @@ class _Builder:
         self.subjects = set(store.subjects)
         self.rights = dict(store.rights)
         self.touched: dict[str, set[RightsTuple]] = {}
+        self.built: dict[tuple[str, ...], RightsTuple] = {}
 
     def freeze(self) -> PolicyStore:
         for subject, held in self.touched.items():
             if held:
-                self.rights[subject] = tuple(sorted(held))
+                self.rights[subject] = tuple(sorted(held, key=_CANONICAL))
             else:
                 self.rights.pop(subject, None)
         return PolicyStore(
@@ -184,11 +192,19 @@ class _Builder:
         return held
 
     def right(self, action: str, target: str, match_mode: MatchMode = EXACT) -> RightsTuple:
-        """The rights tuple a command line names by its action; the mode defaults to exact."""
-        service_type = self.action_types.get(action)
-        if service_type is None:
-            raise UnregisteredError("no registered service type has action %r" % action)
-        return RightsTuple(service_type, action, target, match_mode)
+        """The rights tuple a command line names by its action; the mode defaults to exact.
+
+        A registered action keeps its service type to the end of the
+        batch, so the tuple is built the first time its fields are named.
+        """
+        key = (action, target, match_mode)
+        right = self.built.get(key)
+        if right is None:
+            service_type = self.action_types.get(action)
+            if service_type is None:
+                raise UnregisteredError("no registered service type has action %r" % action)
+            right = self.built[key] = RightsTuple(service_type, action, target, match_mode)
+        return right
 
     def register_service_type(self, name: str, actions: frozenset[str]) -> None:
         if not TOKEN_RE.match(name):
@@ -260,7 +276,18 @@ def apply_command_file(store: PolicyStore, text: str) -> tuple[PolicyStore, int]
 
 def _apply_command(builder: _Builder, *fields: str) -> None:
     verb = fields[0]
-    if verb == "servicetype":
+    if verb in ("grant", "rescind"):
+        if len(fields) not in (4, 5):
+            raise ValueError("%s takes <subject-dn> <action> <target> [exact|wildcard]" % verb)
+        subject = fields[1]
+        if subject not in builder.subjects:  # each registered DN was checked once, by ``user``
+            validate_subject_dn(subject)
+        right = builder.right(*fields[2:])
+        if verb == "grant":
+            builder.grant(subject, right)
+        else:
+            builder.rescind(subject, right)
+    elif verb == "servicetype":
         if len(fields) != 3:
             raise ValueError("servicetype takes <name> <action>[,<action>...]")
         actions = [a for a in fields[2].split(",") if a]
@@ -275,15 +302,6 @@ def _apply_command(builder: _Builder, *fields: str) -> None:
         if len(fields) != 3:
             raise ValueError("object takes <servicetype> <target>")
         builder.register_object(fields[1], fields[2])
-    elif verb in ("grant", "rescind"):
-        if len(fields) not in (4, 5):
-            raise ValueError("%s takes <subject-dn> <action> <target> [exact|wildcard]" % verb)
-        subject = validate_subject_dn(fields[1])
-        right = builder.right(*fields[2:])
-        if verb == "grant":
-            builder.grant(subject, right)
-        else:
-            builder.rescind(subject, right)
     else:
         raise ValueError("unknown command %r" % verb)
 
@@ -318,4 +336,4 @@ def load_snapshot(data: bytes) -> PolicyStore:
 
 def sort_rights(rights: Iterable[RightsTuple]) -> tuple[RightsTuple, ...]:
     """Deduplicate and sort rights into the canonical order."""
-    return tuple(sorted(set(rights)))
+    return tuple(sorted(dict.fromkeys(rights)))

@@ -646,6 +646,7 @@ def parse_address(text: str) -> tuple[str, int]:
     """Parse ``host:port`` (bare ``:port`` binds all interfaces)."""
     host, sep, port = text.rpartition(":")
     # ASCII digits only: ``isdigit`` and ``int`` also take other scripts' digits.
-    if not sep or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+    # At most five, so ``int`` never meets its digit limit.
+    if not sep or not (port.isascii() and port.isdigit()) or len(port) > 5 or int(port) > 65535:
         raise ValueError("expected host:port, got %r" % text)
     return host or "0.0.0.0", int(port)

@@ -125,6 +125,63 @@ def test_split_fields_agrees_with_the_character_scanner():
     assert len(kinds) == 3, kinds
 
 
+# Command-line pieces: verbs, bare fields, quoted DNs with spaces, a
+# "#" inside a quoted field and comments after one, a bare field with an
+# inner quote, abutting quotes, and an unterminated quote.
+COMMAND_PIECES = [
+    "grant", "rescind", "user", "object", "servicetype", "member", "read,write",
+    "vo/r01", "ftp://fs/home/*", "exact", "wildcard", "/O=vo/CN=m00001",
+    '"/O=vo/OU=People/CN=Member 12"', '"/O=x/CN=Has # hash"', '""', '"vo/r02"',
+    "# a comment", "#", 'a"b', 'x"y z"', '"a"b', '"x""y"', '"/O=vo/CN=open', '"',
+]
+COMMAND_SEPARATORS = [" ", " ", " ", "  ", "\t", "\u3000", ""]
+
+
+def test_split_fields_agrees_with_the_character_scanner_on_command_lines():
+    rng = random.Random(20033)
+    kinds = collections.Counter()
+    for _ in range(20000):
+        line = rng.choice(["", " ", "\t"]) + rng.choice(COMMAND_PIECES[:5])
+        for _ in range(rng.randrange(6)):
+            line += rng.choice(COMMAND_SEPARATORS) + rng.choice(COMMAND_PIECES)
+        line += rng.choice(["", " ", "\t"])
+        expected = outcome(oracles.split_fields, line)
+        assert outcome(split_fields, line) == expected, repr(line)
+        if isinstance(expected, tuple):
+            kinds[expected[1]] += 1
+        else:
+            kinds["fields, %s quotes" % ("with" if '"' in line else "no")] += 1
+    # Good lines with and without quotes and both error kinds each occur often.
+    assert min(kinds.values()) > 1000, kinds
+    assert len(kinds) == 4, kinds
+
+
+def test_command_files_of_quoted_dns_split_without_the_regex(monkeypatch):
+    calls = collections.Counter()
+
+    class CountingPattern:
+        def findall(self, line):
+            calls[line] += 1
+            return field_re.findall(line)
+
+    field_re = lineformat._FIELD_RE
+    monkeypatch.setattr(lineformat, "_FIELD_RE", CountingPattern())
+    dns = ["/O=vo/OU=People/CN=Member %d" % i for i in range(200)]
+    lines = ["servicetype group member", "servicetype file read,write", "object group vo/r01"]
+    lines += ['user "%s"' % dn for dn in dns]
+    lines += ['grant "%s" member vo/r01 exact' % dn for dn in dns]
+    lines += ['grant "%s" read "ftp://fs/home/*" wildcard' % dn for dn in dns]
+    lines += ['grant "%s" write ftp://fs/%d/* wildcard' % (dn, i) for i, dn in enumerate(dns)]
+    lines += ['rescind "%s" member vo/r01' % dn for dn in dns[:197]]
+    assert len(lines) == 1000
+    store, applied = apply_command_file(PolicyStore(), "\n".join(lines) + "\n")
+    assert applied == 1000 and len(store.grants) == 403
+    assert not calls
+    # A line with a comment still takes the regex.
+    assert split_fields('grant "%s" # comment' % dns[0]) == ["grant", dns[0]]
+    assert sum(calls.values()) == 1
+
+
 def test_quote_field_round_trips_through_split():
     for value in ["plain", "has space", "", "a#b", "/O=x/CN=A B"]:
         line = "verb %s tail" % quote_field(value)

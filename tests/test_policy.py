@@ -100,6 +100,20 @@ def test_sort_rights_dedupes_and_orders():
     assert sort_rights([b, a, b, a]) == (a, b)
 
 
+def test_sort_rights_compares_sorted_rights_once_each(monkeypatch):
+    rights = [RightsTuple("file", "read", "ftp://h/%d" % i) for i in range(6)]
+    compared = []
+    less = RightsTuple.__lt__
+
+    def counting_less(self, other):
+        compared.append((self, other))
+        return less(self, other)
+
+    monkeypatch.setattr(RightsTuple, "__lt__", counting_less)
+    assert sort_rights(rights + rights[:2]) == tuple(rights)
+    assert len(compared) == 5
+
+
 # -- validators --------------------------------------------------------------
 
 
@@ -334,6 +348,42 @@ def _issue_request_error(demo_store, cas_identity, trust_root) -> str:
 )
 def test_one_match_mode_message_from_every_entry_point(error, demo_store, cas_identity, trust_root):
     assert "bad match mode 'exactly'" in error(demo_store, cas_identity, trust_root)
+
+
+# A batch that names one right and one DN on many lines builds the right
+# and checks the DN once; a bad line among them still fails as its own.
+REUSED_LINES = [
+    'grant "%s" member atlas/admin' % TULL,
+    'grant "%s" member atlas/admin exact' % TULL,
+    'rescind "%s" member atlas/admin' % TULL,
+    'grant "%s" member atlas/admin wildcard' % TULL,  # no "*": exact
+] * 50
+
+
+@pytest.mark.parametrize(
+    "bad_line,message",
+    [
+        ('grant "O=x/CN=Not Registered" member atlas/admin',
+         "DN must begin with '/': 'O=x/CN=Not Registered'"),
+        ('grant "%s" fly atlas/admin' % TULL, "no registered service type has action 'fly'"),
+        ('grant "%s" member atlas/admin glob' % TULL, "bad match mode 'glob'"),
+        ('grant "%s" member atlas/nothere' % TULL,
+         "unregistered object 'atlas/nothere' of service type 'group'"),
+    ],
+    ids=["malformed-unregistered-dn", "unknown-action", "bad-mode", "unregistered-object"],
+)
+def test_a_bad_line_among_reused_rights_and_dns_keeps_its_number_and_message(bad_line, message):
+    store = base_store()
+    assert run(store, *REUSED_LINES).rights_of(TULL) == [admin_right()]
+    # The bad line comes after every use of the reused right and DN, and
+    # fails the same way each time the batch is applied.
+    lines = REUSED_LINES + [bad_line] + REUSED_LINES
+    bad_lineno = len(REUSED_LINES) + 1
+    for _ in range(2):
+        with pytest.raises(LineError) as exc:
+            apply_command_file(store, "".join(line + "\n" for line in lines))
+        assert exc.value.line == bad_lineno
+        assert str(exc.value) == "line %d: %s" % (bad_lineno, message)
 
 
 def test_servicetype_rejects_duplicate_action_list():

@@ -249,9 +249,11 @@ def test_parse_address(text, expected):
     assert parse_address(text) == expected
 
 
-# Digits of other scripts pass ``isdigit``, and ``int`` reads most of them.
+# Digits of other scripts pass ``isdigit``, and ``int`` reads most of them;
+# ``int`` refuses more than 4,300 digits with a message of its own.
 @pytest.mark.parametrize("text", ["localhost", "host:", "host:abc", "", ":70000", "h:65536",
-                                  ":٢٨١٣", "h:１２", ":²"])
+                                  ":٢٨١٣", "h:１２", ":²",
+                                  pytest.param(":" + "1" * 5000, id="5000-digit-port")])
 def test_parse_address_rejects(text):
     with pytest.raises(ValueError, match="expected host:port"):
         parse_address(text)

@@ -5,10 +5,7 @@ assertion; a file session also reads one. For each of the five calls
 below, this prints the least time per call, in microseconds, over 7
 rounds of 2,000 calls each. Pass another checkout's package directory
 to time that one, for a before/after comparison on one host; alternate
-the two a few times, as the host's speed drifts. Reading an assertion
-sorts its rights through a set, whose order follows the process's
-string hashes, so for a tighter comparison give both sides the same
-``PYTHONHASHSEED``.
+the two a few times, as the host's speed drifts.
 
 Usage: python tools/time_documents.py [package-directory]
 """
